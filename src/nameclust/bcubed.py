@@ -64,7 +64,7 @@ def block_scores(c: Clustering, b: Block, cfg: EvalConfig = EvalConfig()) -> Bcu
         class_sizes[label] = class_sizes.get(label, 0) + 1
     m = len(b.members)
     sum_p = sum_r = sum_f = 0.0
-    for rid in b.members:
+    for rid in sorted(b.members):  # fixed float summation order
         cid = c.assignment[rid]
         label = b.gold_label[rid]
         inter = counts[cid][label]

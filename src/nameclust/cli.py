@@ -166,7 +166,6 @@ def cmd_run(args) -> int:
         "sample_count": blocks.n,
         "sample_seed": seed,
         "comparisons": comparisons,
-        "kernel": graph.kernel,
         "thresholds": [],
     }
     for t in thresholds:

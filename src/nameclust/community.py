@@ -79,7 +79,7 @@ def modularity(g: WeightedPubGraph, p: Partition, resolution: float = 1.0) -> fl
         if cu == cv:
             w_in[cu] = w_in.get(cu, 0.0) + w
     q = 0.0
-    for c in set(p.assignment.values()):
+    for c in sorted(set(p.assignment.values())):  # fixed float summation order
         s = degree.get(c, 0.0)
         q += w_in.get(c, 0.0) / total - resolution * (s / (2.0 * total)) ** 2
     return q

@@ -8,6 +8,7 @@ object, optionally gzip-compressed (detected by magic bytes).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import html.entities
 import io
@@ -30,15 +31,24 @@ _ENTITIES = {
 }
 
 
-def _open_stream(source):
-    """Return a binary stream; transparently unwraps gzip."""
+def _open_stream(source, owned: contextlib.ExitStack):
+    """Return a binary stream; transparently unwraps gzip.
+
+    A path is opened here and closed by ``owned``. Stdin and
+    caller-supplied streams are never closed: a buffering wrapper put
+    around one is detached from it by ``owned`` instead.
+    """
     if source == "-":
         stream = sys.stdin.buffer
     elif isinstance(source, (str, bytes)):
-        stream = open(source, "rb")
+        stream = owned.enter_context(open(source, "rb"))
     else:
         stream = source
-    buffered = io.BufferedReader(stream) if not hasattr(stream, "peek") else stream
+    if hasattr(stream, "peek"):
+        buffered = stream
+    else:
+        buffered = io.BufferedReader(stream)
+        owned.callback(buffered.detach)
     if buffered.peek(2)[:2] == b"\x1f\x8b":
         return gzip.open(buffered)
     return buffered
@@ -90,8 +100,16 @@ class _CountingReader:
 
 
 def parse_dblp(source):
-    """Yield one RawRecord per publication element, in document order."""
-    stream = _CountingReader(_open_stream(source))
+    """Yield one RawRecord per publication element, in document order.
+
+    A path given as ``source`` is closed when iteration ends, is
+    abandoned or fails.
+    """
+    with contextlib.ExitStack() as owned:
+        yield from _parse(_CountingReader(_open_stream(source, owned)))
+
+
+def _parse(stream):
     parser = ET.XMLParser()
     parser.entity.update(_ENTITIES)
     root = None

@@ -1,70 +1,34 @@
 """Bipartite author-publication network with bounded distance queries.
 
-The graph is immutable after construction. Adjacency is CSR over dense
-integer ids; publication ids follow sorted record_id order and author
-ids follow sorted name order, so traversal order (and every downstream
-tie-break) is deterministic.
+The graph is immutable after construction. Adjacency is two lists of
+sorted id lists over dense integer ids; publication ids follow sorted
+record_id order and author ids follow sorted name order, so traversal
+order (and every downstream tie-break) is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
-import numpy as np
-
-from . import kernels
 from .errors import UnknownNodeError
 
 INFINITE = math.inf
 
 
-class _Workspace:
-    """Reusable scratch for the compiled kernel; one per querying thread."""
-
-    def __init__(self, n_pubs: int, n_auths: int):
-        self.pub_seen = np.zeros(n_pubs, dtype=np.int64)
-        self.auth_seen = np.zeros(n_auths, dtype=np.int64)
-        self.frontier = np.empty(n_pubs, dtype=np.int32)
-        self.nxt = np.empty(n_pubs, dtype=np.int32)
-        self.out_pubs = np.empty(n_pubs, dtype=np.int32)
-        self.out_hops = np.empty(n_pubs, dtype=np.int8)
-        self.stamp = 0
-
-
 class BipartiteGraph:
-    def __init__(self, pub_keys, author_names, pub_adj_sets, kernel=None):
+    def __init__(self, pub_keys, author_names, pub_adj_sets):
         # pub_keys/author_names sorted; pub_adj_sets[i] = author ids of pub i
         self.pub_keys = pub_keys
         self.author_names = author_names
         self.pub_index = {k: i for i, k in enumerate(pub_keys)}
         self.author_index = {a: i for i, a in enumerate(author_names)}
-
-        n_pubs = len(pub_keys)
-        pub_lists = [sorted(s) for s in pub_adj_sets]
-        auth_lists: list[list[int]] = [[] for _ in author_names]
-        for p in range(n_pubs):  # pub ids ascend, so these stay sorted
-            for a in pub_lists[p]:
-                auth_lists[a].append(p)
-        self._pub_lists = pub_lists
-        self._auth_lists = auth_lists
-
-        self._pub_ptr = np.zeros(n_pubs + 1, dtype=np.int64)
-        self._pub_ptr[1:] = np.cumsum([len(x) for x in pub_lists])
-        self._pub_adj = np.fromiter(
-            (a for lst in pub_lists for a in lst), dtype=np.int32,
-            count=int(self._pub_ptr[-1]),
-        )
-        self._auth_ptr = np.zeros(len(author_names) + 1, dtype=np.int64)
-        self._auth_ptr[1:] = np.cumsum([len(x) for x in auth_lists])
-        self._auth_adj = np.fromiter(
-            (p for lst in auth_lists for p in lst), dtype=np.int32,
-            count=int(self._auth_ptr[-1]),
-        )
-        self.kernel = kernel or kernels.DEFAULT_KERNEL
-        if self.kernel == "compiled" and kernels.get_fast() is None:
-            raise ValueError("compiled kernel requested but not available")
-        self._local = threading.local()  # one kernel workspace per thread
+        # pub_authors[p]: author ids of publication p; author_pubs[a]:
+        # publication ids of author a; both ascending
+        self.pub_authors = [sorted(s) for s in pub_adj_sets]
+        self.author_pubs: list[list[int]] = [[] for _ in author_names]
+        for p, authors in enumerate(self.pub_authors):
+            for a in authors:
+                self.author_pubs[a].append(p)
 
     # -- structure ---------------------------------------------------------
 
@@ -77,20 +41,19 @@ class BipartiteGraph:
         return len(self.author_names)
 
     def pub_degree(self, record_id: str) -> int:
-        p = self._pub_id(record_id)
-        return len(self._pub_lists[p])
+        return len(self.pub_authors[self.pub_id(record_id)])
 
     def authors_of(self, record_id: str) -> list[str]:
-        p = self._pub_id(record_id)
-        return [self.author_names[a] for a in self._pub_lists[p]]
+        return [self.author_names[a] for a in self.pub_authors[self.pub_id(record_id)]]
 
-    def _pub_id(self, record_id: str) -> int:
+    def pub_id(self, record_id: str) -> int:
         try:
             return self.pub_index[record_id]
         except KeyError:
             raise UnknownNodeError(f"unknown publication {record_id!r}") from None
 
-    def _author_id(self, name: str | None) -> int:
+    def author_id(self, name: str | None) -> int:
+        """Dense id of an author name; -1 for ``None`` (no author)."""
         if name is None:
             return -1
         try:
@@ -98,27 +61,8 @@ class BipartiteGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown author {name!r}") from None
 
-    # -- queries -----------------------------------------------------------
 
-    def _neighbors_ids(self, src: int, max_hops: int, excluded: int):
-        """(pub id, hop) pairs reachable within max_hops publication hops."""
-        if self.kernel == "compiled":
-            ws = getattr(self._local, "ws", None)
-            if ws is None:
-                ws = self._local.ws = _Workspace(self.n_pubs, self.n_authors)
-            ws.stamp += 1
-            n = kernels.get_fast().neighbors_within(
-                self._pub_ptr, self._pub_adj, self._auth_ptr, self._auth_adj,
-                ws.pub_seen, ws.auth_seen, ws.stamp, src, max_hops, excluded,
-                ws.frontier, ws.nxt, ws.out_pubs, ws.out_hops,
-            )
-            return ws.out_pubs[:n].tolist(), ws.out_hops[:n].tolist()
-        return kernels.pure.neighbors_within(
-            self._pub_lists, self._auth_lists, src, max_hops, excluded
-        )
-
-
-def build_graph(records, kernel=None) -> BipartiteGraph:
+def build_graph(records) -> BipartiteGraph:
     """One author node per surface name, one pub node per authored record.
 
     Records without author mentions are skipped; duplicate same-name
@@ -136,36 +80,35 @@ def build_graph(records, kernel=None) -> BipartiteGraph:
     author_names = sorted(names)
     author_index = {a: i for i, a in enumerate(author_names)}
     pub_adj_sets = [{author_index[a] for a in pubs[k]} for k in pub_keys]
-    return BipartiteGraph(pub_keys, author_names, pub_adj_sets, kernel=kernel)
+    return BipartiteGraph(pub_keys, author_names, pub_adj_sets)
 
 
-_SNAPSHOT_VERSION = 1
+def _reach(g: BipartiteGraph, src: int, max_hops: int, excluded: int) -> dict[int, int]:
+    """Publications within ``max_hops`` publication hops of ``src``.
 
-
-def save_graph(g: BipartiteGraph, path) -> None:
-    """Binary cache of the built graph; internal format, may change."""
-    np.savez_compressed(
-        path,
-        version=np.int64(_SNAPSHOT_VERSION),
-        pub_keys=np.array(g.pub_keys, dtype=object),
-        author_names=np.array(g.author_names, dtype=object),
-        pub_ptr=g._pub_ptr,
-        pub_adj=g._pub_adj,
-    )
-
-
-def load_graph(path, kernel=None) -> BipartiteGraph:
-    with np.load(path, allow_pickle=True) as data:
-        if int(data["version"]) != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported graph snapshot version {data['version']}")
-        pub_keys = list(data["pub_keys"])
-        author_names = list(data["author_names"])
-        ptr = data["pub_ptr"]
-        adj = data["pub_adj"]
-    pub_adj_sets = [
-        set(adj[ptr[i]:ptr[i + 1]].tolist()) for i in range(len(pub_keys))
-    ]
-    return BipartiteGraph(pub_keys, author_names, pub_adj_sets, kernel=kernel)
+    Breadth-first over sorted adjacency; the author id ``excluded`` (or
+    -1 for none) is never traversed. Maps publication id to hop count in
+    visiting order; ``src`` itself is not included.
+    """
+    hops = {src: 0}
+    seen_auths = set()
+    frontier = [src]
+    for hop in range(1, max_hops + 1):
+        nxt = []
+        for p in frontier:
+            for a in g.pub_authors[p]:
+                if a == excluded or a in seen_auths:
+                    continue
+                seen_auths.add(a)
+                for q in g.author_pubs[a]:
+                    if q not in hops:
+                        hops[q] = hop
+                        nxt.append(q)
+        if not nxt:
+            break
+        frontier = nxt
+    del hops[src]
+    return hops
 
 
 def pub_distance(g: BipartiteGraph, p1: str, p2: str, max_d: int = 3,
@@ -178,15 +121,11 @@ def pub_distance(g: BipartiteGraph, p1: str, p2: str, max_d: int = 3,
         raise ValueError("distance is defined between two distinct publications")
     if max_d < 1 or max_d % 2 == 0:
         raise ValueError("distance bound must be odd and >= 1")
-    src = g._pub_id(p1)
-    dst = g._pub_id(p2)
-    excl = g._author_id(excluded_author)
-    max_hops = (max_d + 1) // 2
-    pubs, hops = g._neighbors_ids(src, max_hops, excl)
-    for q, hop in zip(pubs, hops):
-        if q == dst:
-            return 2 * hop - 1
-    return INFINITE
+    src = g.pub_id(p1)
+    dst = g.pub_id(p2)
+    excl = g.author_id(excluded_author)
+    hop = _reach(g, src, (max_d + 1) // 2, excl).get(dst)
+    return INFINITE if hop is None else 2 * hop - 1
 
 
 def pubs_within(g: BipartiteGraph, p: str, k: int,
@@ -197,7 +136,6 @@ def pubs_within(g: BipartiteGraph, p: str, k: int,
     """
     if k < 1:
         raise ValueError("co-author order must be >= 1")
-    src = g._pub_id(p)
-    excl = g._author_id(excluded_author)
-    pubs, hops = g._neighbors_ids(src, k, excl)
-    return {g.pub_keys[q]: hop for q, hop in zip(pubs, hops)}
+    src = g.pub_id(p)
+    excl = g.author_id(excluded_author)
+    return {g.pub_keys[q]: hop for q, hop in _reach(g, src, k, excl).items()}

@@ -1,9 +1,16 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nameclust
 from nameclust.cli import main, read_config
+
+SRC = Path(nameclust.__file__).resolve().parents[1]
 
 MINIMAL_XML = b"""<?xml version="1.0"?>
 <dblp>
@@ -178,3 +185,40 @@ def test_report_pretty_print(tmp_path, synth_corpus, capsys):
     assert run_cli("report", out / "report.json") == 0
     text = capsys.readouterr().out
     assert "threshold=1" in text and "BCubed F" in text
+
+
+def _python(args, hashseed=0, timeout=120):
+    """Run the interpreter in a fresh process with the package on its path."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed), PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True)
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    # set and frozenset iteration order follows PYTHONHASHSEED, so every
+    # float sum must run in a fixed order for the bytes to match
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 4, "--bridge-rate", 0.25, "--seed", 5,
+                   "--pubs-min", 20, "--pubs-max", 40) == 0
+    outputs = []
+    for hashseed in (1, 2):
+        out = tmp_path / f"h{hashseed}"
+        _python(["-m", "nameclust.cli", "run", "--records", str(records),
+                 "--gold", str(gold), "--out-dir", str(out / "run")], hashseed)
+        _python(["-m", "nameclust.cli", "common-names", "--records", str(records),
+                 "--gold", str(gold), "--out-dir", str(out / "cn"),
+                 "--min-block-size", "50"], hashseed)
+        outputs.append({str(f.relative_to(out)): f.read_bytes()
+                        for f in sorted(out.rglob("*")) if f.is_file()})
+    assert sorted(outputs[0]) == ["cn/common_names.json", "run/clusters_t1.tsv",
+                                  "run/clusters_t3.tsv", "run/report.json"]
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    probe = ("import sys, nameclust.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    assert _python(["-c", probe]).stdout.strip() == "[]"

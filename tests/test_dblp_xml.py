@@ -1,6 +1,8 @@
+import gc
 import gzip
 import io
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -64,6 +66,29 @@ def test_gzip_input(tmp_path):
     path = tmp_path / "dump.xml.gz"
     path.write_bytes(gzip.compress(MINIMAL))
     assert len(list(parse_dblp(str(path)))) == 3
+
+
+def test_opened_files_closed_and_caller_streams_left_open(tmp_path):
+    plain = tmp_path / "dump.xml"
+    plain.write_bytes(MINIMAL)
+    packed = tmp_path / "dump.xml.gz"
+    packed.write_bytes(gzip.compress(MINIMAL))
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(b"<dblp><article key=")
+    callers = [io.BytesIO(MINIMAL), io.BytesIO(gzip.compress(MINIMAL))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for source in (str(plain), str(packed), *callers):
+            assert len(list(parse_dblp(source))) == 3
+        abandoned = parse_dblp(str(plain))
+        next(abandoned)
+        del abandoned
+        with pytest.raises(CorpusParseError):
+            list(parse_dblp(str(bad)))
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+    assert not any(stream.closed for stream in callers)
 
 
 def test_author_order_preserved():

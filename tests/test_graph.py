@@ -6,15 +6,7 @@ import pytest
 import oracles
 from conftest import rec
 from nameclust.errors import UnknownNodeError
-from nameclust.graph import (
-    INFINITE,
-    build_graph,
-    load_graph,
-    pub_distance,
-    pubs_within,
-    save_graph,
-)
-from nameclust.kernels import DEFAULT_KERNEL
+from nameclust.graph import INFINITE, build_graph, pub_distance, pubs_within
 from nameclust.synth import SynthConfig, generate_corpus
 
 
@@ -142,24 +134,3 @@ def test_monotonicity_in_bound():
         d_big = pub_distance(g, p1, p2, 5, None)
         if d_small != INFINITE:
             assert d_big == d_small
-
-
-@pytest.mark.skipif(DEFAULT_KERNEL != "compiled",
-                    reason="compiled kernel not built")
-def test_kernels_agree():
-    records = _random_corpus(17, blocks=10)
-    fast = build_graph(records, kernel="compiled")
-    pure = build_graph(records, kernel="pure")
-    for p in fast.pub_keys:
-        for k in (1, 2, 3):
-            assert pubs_within(fast, p, k, None) == pubs_within(pure, p, k, None)
-
-
-def test_snapshot_round_trip(tmp_path, fig1_records):
-    g = build_graph(fig1_records)
-    path = tmp_path / "graph.npz"
-    save_graph(g, path)
-    g2 = load_graph(path)
-    assert g2.pub_keys == g.pub_keys
-    assert g2.author_names == g.author_names
-    assert pub_distance(g2, "k/p3", "k/p4", 3, "Eric Dubois") == 3
