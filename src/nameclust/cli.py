@@ -19,7 +19,7 @@ from .dblp_xml import parse_dblp
 from .errors import CorpusParseError, DataIntegrityError, NameclustError
 from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, write_gold
 from .graph import build_graph
-from .records import read_records, record_to_json
+from .records import read_records, record_to_json, write_records
 from .synth import SynthConfig, generate_corpus
 
 EXIT_OK = 0
@@ -78,16 +78,23 @@ def _triple(s: BcubedScores) -> dict:
 def cmd_ingest(args) -> int:
     config = read_config(args.config) if args.config else {}
     min_gold = _setting(args, config, "min_gold_authors", 1, int)
-    records = []
+    n_records = 0
     with open(args.records_out, "w", encoding="utf-8") as fh:
-        for rec in parse_dblp(args.input):
-            fh.write(record_to_json(rec))
-            fh.write("\n")
-            records.append(rec)
-    gold = build_gold_standard(records, min_gold_authors=min_gold)
+
+        def written():
+            # each record goes to the JSONL file on its way to the gold
+            # standard; none is kept
+            nonlocal n_records
+            for rec in parse_dblp(args.input):
+                fh.write(record_to_json(rec))
+                fh.write("\n")
+                n_records += 1
+                yield rec
+
+        gold = build_gold_standard(written(), min_gold_authors=min_gold)
     write_gold(gold, args.gold_out)
     n_authors = gold.author_count
-    print(f"ingest: {len(records)} records, {len(gold.entries)} gold blocks, "
+    print(f"ingest: {n_records} records, {len(gold.entries)} gold blocks, "
           f"{n_authors} gold authors")
     if n_authors == 0:
         print("warning: no suffix-identified authors found; gold standard is empty",
@@ -107,10 +114,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     records = generate_corpus(cfg)
-    with open(args.records_out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_json(rec))
-            fh.write("\n")
+    write_records(records, args.records_out)
     gold = build_gold_standard(records)
     write_gold(gold, args.gold_out)
     print(f"synth: {len(records)} records, {len(gold.entries)} blocks, "
@@ -135,6 +139,22 @@ def _evaluate_blocks(blocks, graph, threshold, alpha, workers):
     return results
 
 
+def _check_blocks_in_graph(blocks, graph) -> None:
+    """Every evaluated gold record must be an authored record, and every
+    evaluated block name an author, in the records the graph was built from."""
+    missing = [(rid, b.block_key) for b in blocks for rid in b.members
+               if rid not in graph.pub_index]
+    if missing:
+        rid, key = min(missing)
+        raise DataIntegrityError(
+            f"gold record {rid!r} of block {key!r} is not an authored record "
+            f"in --records")
+    for b in blocks:
+        if b.block_key not in graph.author_index:
+            raise DataIntegrityError(
+                f"block {b.block_key!r} is not an author name in --records")
+
+
 def cmd_run(args) -> int:
     config = read_config(args.config) if args.config else {}
     thresholds = _setting(args, config, "thresholds", [1, 3],
@@ -149,7 +169,7 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = list(read_records(args.records))
+    graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = build_blocks(gold)
     if sample_count is not None:
@@ -157,7 +177,7 @@ def cmd_run(args) -> int:
             raise UsageError(
                 f"sample count {sample_count} exceeds {blocks.n} available blocks")
         blocks = sample_blocks(blocks, sample_count, seed)
-    graph = build_graph(records)
+    _check_blocks_in_graph(blocks, graph)
     blocks_by_key = {b.block_key: b for b in blocks}
 
     comparisons = count_comparisons(blocks)
@@ -199,10 +219,11 @@ def cmd_common_names(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = list(read_records(args.records))
+    graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = [b for b in build_blocks(gold) if b.m > min_block_size]
     blocks.sort(key=lambda b: b.block_key)
+    _check_blocks_in_graph(blocks, graph)
 
     report = {
         "threshold": threshold,
@@ -217,7 +238,6 @@ def cmd_common_names(args) -> int:
         print(f"common-names: no blocks larger than {min_block_size} publications")
         return EXIT_OK
 
-    graph = build_graph(records)
     eval_cfg = EvalConfig(alpha=alpha)
     louvain_cfg = LouvainConfig(resolution=resolution)
 

@@ -10,26 +10,36 @@ class MalformedMentionError(NameclustError, ValueError):
 
 
 class CorpusParseError(NameclustError):
-    """Malformed XML input; carries an approximate byte offset."""
+    """Malformed corpus input: DBLP XML or a JSONL records file.
 
-    def __init__(self, message, byte_offset=None, line=None, column=None):
+    Carries whatever location is known: the file ``path``, an
+    approximate ``byte_offset`` (XML), and a 1-based ``line`` with an
+    optional ``column``.
+    """
+
+    def __init__(self, message, byte_offset=None, line=None, column=None, path=None):
         super().__init__(message)
         self.byte_offset = byte_offset
         self.line = line
         self.column = column
+        self.path = path
 
     def __str__(self):
         loc = []
+        if self.path is not None:
+            loc.append(str(self.path))
         if self.byte_offset is not None:
             loc.append(f"byte~{self.byte_offset}")
         if self.line is not None:
-            loc.append(f"line {self.line}, col {self.column}")
+            loc.append(f"line {self.line}" if self.column is None
+                       else f"line {self.line}, col {self.column}")
         base = super().__str__()
         return f"{base} ({'; '.join(loc)})" if loc else base
 
 
 class DataIntegrityError(NameclustError):
-    """Gold-standard invariant violated (e.g. one record under two gold keys)."""
+    """Gold-standard invariant violated (e.g. one record under two gold keys,
+    or a gold record or block name absent from the records)."""
 
 
 class UnknownNodeError(NameclustError, KeyError):

@@ -16,16 +16,16 @@ INFINITE = math.inf
 
 
 class BipartiteGraph:
-    def __init__(self, pub_keys, author_names, pub_adj_sets):
-        # pub_keys/author_names sorted; pub_adj_sets[i] = author ids of pub i
-        self.pub_keys = pub_keys
-        self.author_names = author_names
-        self.pub_index = {k: i for i, k in enumerate(pub_keys)}
-        self.author_index = {a: i for i, a in enumerate(author_names)}
+    def __init__(self, pubs: dict[str, set[str]]):
+        """``pubs`` maps each publication's record id to its author names."""
+        self.pub_keys = sorted(pubs)
+        self.author_names = sorted(set().union(*pubs.values()))
+        self.pub_index = {k: i for i, k in enumerate(self.pub_keys)}
+        self.author_index = index = {a: i for i, a in enumerate(self.author_names)}
         # pub_authors[p]: author ids of publication p; author_pubs[a]:
         # publication ids of author a; both ascending
-        self.pub_authors = [sorted(s) for s in pub_adj_sets]
-        self.author_pubs: list[list[int]] = [[] for _ in author_names]
+        self.pub_authors = [sorted([index[a] for a in pubs[k]]) for k in self.pub_keys]
+        self.author_pubs: list[list[int]] = [[] for _ in self.author_names]
         for p, authors in enumerate(self.pub_authors):
             for a in authors:
                 self.author_pubs[a].append(p)
@@ -65,22 +65,16 @@ class BipartiteGraph:
 def build_graph(records) -> BipartiteGraph:
     """One author node per surface name, one pub node per authored record.
 
-    Records without author mentions are skipped; duplicate same-name
-    mentions on one record collapse to a single edge.
+    ``records`` is consumed once, so a generator streams: only record
+    ids and surface names are kept. Records without author mentions are
+    skipped; duplicate same-name mentions on one record collapse to a
+    single edge.
     """
     pubs = {}
-    names = set()
     for rec in records:
-        if not rec.mentions:
-            continue
-        surf = {m.surface_name for m in rec.mentions}
-        pubs[rec.record_id] = surf
-        names.update(surf)
-    pub_keys = sorted(pubs)
-    author_names = sorted(names)
-    author_index = {a: i for i, a in enumerate(author_names)}
-    pub_adj_sets = [{author_index[a] for a in pubs[k]} for k in pub_keys]
-    return BipartiteGraph(pub_keys, author_names, pub_adj_sets)
+        if rec.mentions:
+            pubs[rec.record_id] = {m.surface_name for m in rec.mentions}
+    return BipartiteGraph(pubs)
 
 
 def _reach(g: BipartiteGraph, src: int, max_hops: int, excluded: int) -> dict[int, int]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedMentionError
+from .errors import CorpusParseError, MalformedMentionError
 
 KINDS = (
     "article",
@@ -80,22 +82,71 @@ def record_to_json(rec: RawRecord) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def record_from_json(line: str) -> RawRecord:
-    obj = json.loads(line)
+# key -> the types json.loads gives that key in a well-formed line
+_RECORD_FIELDS = {
+    "id": (str,),
+    "kind": (str,),
+    "title": (str,),
+    "venue": (str, type(None)),
+    "year": (int, type(None)),
+    "authors": (list,),
+}
+_AUTHOR_FIELDS = {"name": (str,), "gold_id": (str, type(None))}
+
+# fast path: fetch all fields in one call, check their types in one lookup
+_record_fields = operator.itemgetter(*_RECORD_FIELDS)
+_RECORD_TYPES = frozenset(itertools.product(*_RECORD_FIELDS.values()))
+_author_key = operator.itemgetter(*_AUTHOR_FIELDS)
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _require(obj, fields, what) -> None:
+    """Raise ValueError unless ``obj`` is an object with ``fields``."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} is a JSON {_JSON_TYPES[type(obj)]}, not an object")
+    for key, types in fields.items():
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+        if type(obj[key]) not in types:
+            expected = " or ".join(_JSON_TYPES[t] for t in types)
+            raise ValueError(f"{what} key {key!r} is a JSON "
+                             f"{_JSON_TYPES[type(obj[key])]}, expected {expected}")
+
+
+def _decode(obj, shared) -> RawRecord:
+    """Build a record from one decoded JSONL object.
+
+    ``shared`` maps (surface name, gold id) to the mention already made
+    for it, so equal mentions are one object. Raises ValueError naming
+    the missing or ill-typed key.
+    """
+    try:
+        values = _record_fields(obj)
+    except (KeyError, TypeError):
+        values = None
+    if values is None or tuple(map(type, values)) not in _RECORD_TYPES:
+        _require(obj, _RECORD_FIELDS, "record")
+    record_id, kind, title, venue, year, authors = values
     mentions = []
-    for a in obj["authors"]:
-        raw = a["name"] if a["gold_id"] is None else f"{a['name']} {a['gold_id']}"
-        mentions.append(
-            AuthorMention(surface_name=a["name"], gold_id=a["gold_id"], raw=raw)
-        )
-    return RawRecord(
-        record_id=obj["id"],
-        kind=obj["kind"],
-        title=obj["title"],
-        venue=obj["venue"],
-        year=obj["year"],
-        mentions=tuple(mentions),
-    )
+    for a in authors:
+        try:
+            m = shared[_author_key(a)]
+        except (KeyError, TypeError):
+            _require(a, _AUTHOR_FIELDS, "author")
+            name, gold_id = _author_key(a)
+            raw = name if gold_id is None else f"{name} {gold_id}"
+            m = shared[name, gold_id] = AuthorMention(
+                surface_name=name, gold_id=gold_id, raw=raw)
+        mentions.append(m)
+    return RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
+                     year=year, mentions=tuple(mentions))
+
+
+def record_from_json(line: str) -> RawRecord:
+    """Parse one JSONL line; raises ValueError if it is malformed."""
+    return _decode(json.loads(line), {})
 
 
 def write_records(records, path) -> int:
@@ -110,8 +161,23 @@ def write_records(records, path) -> int:
 
 
 def read_records(path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield record_from_json(line)
+    """Yield the records of a JSONL file one at a time.
+
+    Equal author mentions are one shared (immutable) object. A malformed
+    line (invalid UTF-8 or JSON, or not a record) raises CorpusParseError
+    with the path and its 1-based line.
+    """
+    shared: dict[tuple[str, str | None], AuthorMention] = {}
+    # bytes, decoded line by line, so that invalid UTF-8 has a line number
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                rec = _decode(json.loads(line.decode("utf-8")), shared)
+            except json.JSONDecodeError as exc:
+                raise CorpusParseError(f"invalid JSON: {exc.msg}", path=path,
+                                       line=lineno, column=exc.colno) from exc
+            except ValueError as exc:
+                raise CorpusParseError(str(exc), path=path, line=lineno) from exc
+            yield rec

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import nameclust
+import nameclust.cli
 from nameclust.cli import main, read_config
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
@@ -222,3 +224,104 @@ def test_cli_import_loads_no_numpy_or_scipy():
     probe = ("import sys, nameclust.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
     assert _python(["-c", probe]).stdout.strip() == "[]"
+
+
+def _tracked(records, peak):
+    """Pass ``records`` through, appending to ``peak`` how many of the
+    records yielded so far are still alive at each yield."""
+    def gen(*args, **kwargs):
+        refs = []
+        for record in records(*args, **kwargs):
+            refs = [r for r in refs if r() is not None]
+            refs.append(weakref.ref(record))
+            peak.append(len(refs))
+            yield record
+    return gen
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 5]])
+def test_run_and_common_names_hold_no_record_list(tmp_path, synth_corpus,
+                                                  monkeypatch, argv):
+    # under CPython refcounting a record dies as soon as build_graph
+    # moves on, so at most the current and the previous record are alive
+    records, gold = synth_corpus
+    alive = []
+    monkeypatch.setattr(nameclust.cli, "read_records",
+                        _tracked(nameclust.cli.read_records, alive))
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 0
+    assert len(alive) == len(records.read_text().splitlines())
+    assert max(alive) <= 2
+
+
+def test_ingest_holds_no_record_list(tmp_path, monkeypatch, capsys):
+    articles = "".join(
+        f'<article key="a/{i}"><author>Wei Li 000{i % 3 + 1}</author>'
+        f"<author>Co {i % 5}</author><title>t{i}</title></article>"
+        for i in range(40))
+    xml = tmp_path / "dump.xml"
+    xml.write_text(f"<dblp>{articles}</dblp>")
+    alive = []
+    monkeypatch.setattr(nameclust.cli, "parse_dblp",
+                        _tracked(nameclust.cli.parse_dblp, alive))
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", gold) == 0
+    assert len(alive) == 40 and max(alive) <= 2
+    assert len(records.read_text().splitlines()) == 40
+    gold_obj = json.loads(gold.read_text())
+    assert sorted(gold_obj["Wei Li"]) == ["Wei Li 0001", "Wei Li 0002", "Wei Li 0003"]
+    assert sum(len(v) for v in gold_obj["Wei Li"].values()) == 40
+    assert "ingest: 40 records, 1 gold blocks, 3 gold authors" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["common-names"],
+    ["common-names", "--min-block-size", 10_000],  # no qualifying block
+])
+def test_malformed_records_exit_2_with_location(tmp_path, synth_corpus, capsys, argv):
+    records, gold = synth_corpus
+    lines = records.read_text().splitlines()
+    obj = json.loads(lines[2])
+    del obj["authors"]
+    lines[2] = json.dumps(obj)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli(argv[0], "--records", bad, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "data error: record has no 'authors' key" in err
+    assert str(bad) in err and "line 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_record_missing_from_records_exits_2(tmp_path, synth_corpus, capsys,
+                                                  argv):
+    records, gold = synth_corpus
+    gold_obj = json.loads(gold.read_text())
+    first, last = sorted(gold_obj)[0], sorted(gold_obj)[-1]
+    next(iter(gold_obj[first].values())).append("zz/missing-2")
+    next(iter(gold_obj[last].values())).extend(["zz/missing-3", "zz/missing-1"])
+    gold.write_text(json.dumps(gold_obj))
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"gold record 'zz/missing-1' of block {last!r}" in err
+    assert "missing-2" not in err and "missing-3" not in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, capsys,
+                                                      argv):
+    records, gold = synth_corpus
+    gold_obj = json.loads(gold.read_text())
+    first = sorted(gold_obj)[0]
+    gold_obj["Nobody Here"] = {
+        "Nobody Here 0001": sorted(next(iter(gold_obj[first].values())))[:2]}
+    gold.write_text(json.dumps(gold_obj))
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    assert "block 'Nobody Here' is not an author name" in capsys.readouterr().err

@@ -29,6 +29,17 @@ def test_records_without_mentions_excluded():
     assert g.n_pubs == 1
 
 
+def test_one_shot_generator_builds_the_same_graph():
+    records = generate_corpus(SynthConfig(blocks=5, bridge_rate=0.3, seed=4))
+    records.append(rec("z/editor-only"))
+    from_list = build_graph(records)
+    from_gen = build_graph(r for r in records)
+    for attr in ("pub_keys", "author_names", "pub_index", "author_index",
+                 "pub_authors", "author_pubs"):
+        assert getattr(from_gen, attr) == getattr(from_list, attr), attr
+    assert from_gen.n_pubs == len(records) - 1
+
+
 def test_duplicate_names_collapse_to_one_edge():
     g = build_graph([rec("p1", "A B", "A B", "C D")])
     assert g.pub_degree("p1") == 2

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nameclust.errors import MalformedMentionError
+from nameclust.errors import CorpusParseError, MalformedMentionError
 from nameclust.records import (
     parse_mention,
     read_records,
@@ -74,3 +76,83 @@ def test_jsonl_round_trip(tmp_path):
 def test_json_line_is_stable():
     r = rec("a/1", "Wei Li 0001")
     assert record_from_json(record_to_json(r)) == r
+
+
+def test_read_records_shares_equal_mentions(tmp_path):
+    records = [
+        rec("a/1", "Wei Li 0001", "Jane Roe"),
+        rec("a/2", "Jane Roe", "Wei Li 0001", "Wei Li"),
+    ]
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    one, two = read_records(path)
+    assert (one, two) == tuple(records)
+    assert one.mentions[0] is two.mentions[1]  # "Wei Li 0001"
+    assert one.mentions[1] is two.mentions[0]  # "Jane Roe"
+    assert two.mentions[2] is not two.mentions[1]  # same name, no gold id
+    for back, orig in zip((one, two), records):
+        assert record_from_json(record_to_json(back)) == back
+        assert [m.raw for m in back.mentions] == [m.raw for m in orig.mentions]
+
+
+_MISSING = object()
+GOOD = {"id": "a/1", "kind": "article", "title": "t", "venue": None,
+        "year": 2015, "authors": [{"name": "Wei Li", "gold_id": "0001"}]}
+
+
+def _with(**changes):
+    obj = dict(GOOD, **changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not _MISSING})
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "a/1", "kind": ', "invalid JSON"),
+    ("[1, 2]", "record is a JSON array, not an object"),
+    ('"a/1"', "record is a JSON string, not an object"),
+    (_with(authors=_MISSING), "record has no 'authors' key"),
+    (_with(id=_MISSING), "record has no 'id' key"),
+    (_with(id=7), "record key 'id' is a JSON integer, expected string"),
+    (_with(year="2015"), "record key 'year' is a JSON string, expected integer or null"),
+    (_with(year=True), "record key 'year' is a JSON boolean"),
+    (_with(venue=["J"]), "record key 'venue' is a JSON array, expected string or null"),
+    (_with(authors={"name": "X"}), "record key 'authors' is a JSON object, expected array"),
+    (_with(authors=["Wei Li"]), "author is a JSON string, not an object"),
+    (_with(authors=[{"name": "Wei Li"}]), "author has no 'gold_id' key"),
+    (_with(authors=[{"name": None, "gold_id": None}]),
+     "author key 'name' is a JSON null, expected string"),
+    (_with(authors=[{"name": "Wei Li", "gold_id": 1}]),
+     "author key 'gold_id' is a JSON integer, expected string or null"),
+], ids=["bad-json", "array", "string", "no-authors", "no-id", "int-id", "string-year",
+        "bool-year", "array-venue", "object-authors", "string-author",
+        "author-no-gold-id", "null-name", "int-gold-id"])
+def test_malformed_line_reports_path_and_line(tmp_path, line, message):
+    path = tmp_path / "records.jsonl"
+    # the bad line is line 4 of the file: a good line, a blank line, a good line
+    path.write_text(f"{_with()}\n\n{_with(id='a/2')}\n{line}\n{_with(id='a/3')}\n")
+    seen = []
+    with pytest.raises(CorpusParseError) as exc:
+        for r in read_records(path):
+            seen.append(r.record_id)
+    assert seen == ["a/1", "a/2"]
+    assert exc.value.path == path
+    assert exc.value.line == 4
+    assert message in str(exc.value)
+    assert str(path) in str(exc.value) and "line 4" in str(exc.value)
+
+
+def test_invalid_utf8_reports_its_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(_with().encode() + b'\n{"id": "a/\xff"}\n')
+    with pytest.raises(CorpusParseError) as exc:
+        list(read_records(path))
+    assert exc.value.line == 2
+    assert "can't decode byte 0xff" in str(exc.value)
+
+
+def test_malformed_json_column_is_within_the_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(_with() + "\n" + '{"id" "a/2"}\n')
+    with pytest.raises(CorpusParseError) as exc:
+        list(read_records(path))
+    assert (exc.value.line, exc.value.column) == (2, 7)
+    assert "line 2, col 7" in str(exc.value)
