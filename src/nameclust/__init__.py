@@ -2,19 +2,18 @@
 
 __version__ = "0.1.0"
 
-from .bcubed import BcubedScores, EvalConfig, block_scores, corpus_scores, item_scores
+from .bcubed import BcubedScores, block_scores, corpus_scores, item_scores
 from .cluster import Clustering, DisjointSet, cluster_block, count_comparisons
 from .community import (
-    LouvainConfig,
     Partition,
     WeightedPubGraph,
     build_similarity_graph,
     louvain,
     modularity,
-    refine_clustering,
+    refine_with_report,
 )
 from .dblp_xml import parse_dblp
-from .gold import Block, BlockSet, GoldStandard, build_blocks, build_gold_standard, sample_blocks
+from .gold import Block, GoldStandard, build_blocks, build_gold_standard, sample_blocks
 from .graph import INFINITE, BipartiteGraph, build_graph, pub_distance, pubs_within
 from .records import AuthorMention, RawRecord, parse_mention
 from .synth import SynthConfig, generate_corpus
@@ -24,13 +23,10 @@ __all__ = [
     "BcubedScores",
     "BipartiteGraph",
     "Block",
-    "BlockSet",
     "Clustering",
     "DisjointSet",
-    "EvalConfig",
     "GoldStandard",
     "INFINITE",
-    "LouvainConfig",
     "Partition",
     "RawRecord",
     "SynthConfig",
@@ -51,6 +47,6 @@ __all__ = [
     "parse_mention",
     "pub_distance",
     "pubs_within",
-    "refine_clustering",
+    "refine_with_report",
     "sample_blocks",
 ]

@@ -15,14 +15,6 @@ class BcubedScores:
     f: float
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    alpha: float = 0.5
-    # F is computed per item and then averaged; set True to instead take
-    # the harmonic combination of the already-averaged P and R
-    f_from_means: bool = False
-
-
 def f_measure(p: float, r: float, alpha: float = 0.5) -> float:
     """Weighted harmonic combination; 0 when either side is 0 (the limit)."""
     if p == 0.0 or r == 0.0:
@@ -40,7 +32,7 @@ def _intersections(c: Clustering, b: Block):
     return counts
 
 
-def item_scores(c: Clustering, b: Block, e: str, cfg: EvalConfig = EvalConfig()) -> BcubedScores:
+def item_scores(c: Clustering, b: Block, e: str, alpha: float = 0.5) -> BcubedScores:
     """Scores of a single publication: precision is the fraction of its
     predicted cluster sharing its gold author, recall the fraction of its
     gold author's publications captured by the cluster."""
@@ -53,11 +45,12 @@ def item_scores(c: Clustering, b: Block, e: str, cfg: EvalConfig = EvalConfig())
     inter = sum(1 for rid in c.clusters[cid] if b.gold_label[rid] == label)
     p = inter / cluster_size
     r = inter / class_size
-    return BcubedScores(p, r, f_measure(p, r, cfg.alpha))
+    return BcubedScores(p, r, f_measure(p, r, alpha))
 
 
-def block_scores(c: Clustering, b: Block, cfg: EvalConfig = EvalConfig()) -> BcubedScores:
-    """Arithmetic mean of the item scores over the block's publications."""
+def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
+    """Arithmetic mean of the item scores over the block's publications;
+    F is averaged per item, not taken from the mean P and R."""
     counts = _intersections(c, b)
     class_sizes: dict[str, int] = {}
     for label in b.gold_label.values():
@@ -72,24 +65,15 @@ def block_scores(c: Clustering, b: Block, cfg: EvalConfig = EvalConfig()) -> Bcu
         r = inter / class_sizes[label]
         sum_p += p
         sum_r += r
-        sum_f += f_measure(p, r, cfg.alpha)
-    mean_p, mean_r = sum_p / m, sum_r / m
-    if cfg.f_from_means:
-        return BcubedScores(mean_p, mean_r, f_measure(mean_p, mean_r, cfg.alpha))
-    return BcubedScores(mean_p, mean_r, sum_f / m)
+        sum_f += f_measure(p, r, alpha)
+    return BcubedScores(sum_p / m, sum_r / m, sum_f / m)
 
 
-def corpus_scores(per_block: list[BcubedScores], weights=None) -> BcubedScores:
-    """Macro-average over blocks; pass per-block weights (e.g. sizes) for
-    the non-default micro variant."""
+def corpus_scores(per_block: list[BcubedScores]) -> BcubedScores:
+    """Macro-average over blocks."""
     if not per_block:
         raise ValueError("cannot aggregate an empty list of block scores")
-    if weights is None:
-        weights = [1.0] * len(per_block)
-    if len(weights) != len(per_block):
-        raise ValueError("weights must align with block scores")
-    wsum = float(sum(weights))
-    p = sum(w * s.precision for w, s in zip(weights, per_block)) / wsum
-    r = sum(w * s.recall for w, s in zip(weights, per_block)) / wsum
-    f = sum(w * s.f for w, s in zip(weights, per_block)) / wsum
-    return BcubedScores(p, r, f)
+    n = len(per_block)
+    return BcubedScores(sum(s.precision for s in per_block) / n,
+                        sum(s.recall for s in per_block) / n,
+                        sum(s.f for s in per_block) / n)

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .bcubed import BcubedScores, EvalConfig, block_scores, corpus_scores
+from .bcubed import BcubedScores, block_scores, corpus_scores
 from .cluster import cluster_block, count_comparisons, write_clusters_tsv
-from .community import LouvainConfig, refine_with_report
+from .community import refine_with_report
 from .dblp_xml import parse_dblp
 from .errors import CorpusParseError, DataIntegrityError, NameclustError
 from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, write_gold
@@ -58,8 +59,35 @@ def _setting(args, config, name, default, cast):
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name])
+        try:
+            return cast(config[name])
+        except ValueError:
+            raise UsageError(f"--config: bad value {config[name]!r} for {name}") from None
     return default
+
+
+def _check_settings(thresholds, alpha, resolution=1.0, sample_count=None) -> None:
+    """Reject a bad ``run`` or ``common-names`` setting, from a flag or
+    from ``--config``, before any input is read. The sample count's upper
+    bound, the number of blocks, is checked once the gold file is read."""
+    for t in thresholds:
+        if t < 1 or t % 2 == 0:
+            raise UsageError(f"threshold must be odd and >= 1, got {t}")
+    if not 0.0 <= alpha <= 1.0:
+        raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (resolution > 0.0 and math.isfinite(resolution)):
+        raise UsageError(f"resolution must be positive and finite, got {resolution}")
+    if sample_count is not None and sample_count < 1:
+        raise UsageError(f"sample count must be >= 1, got {sample_count}")
+
+
+def _per_block(fn, blocks, workers) -> list:
+    """``fn`` over ``blocks``, results in block order, on a pool of
+    ``workers`` threads when that is more than one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(b) for b in blocks]
 
 
 def _dump_json(obj, path) -> None:
@@ -122,23 +150,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_blocks(blocks, graph, threshold, alpha, workers):
-    """Cluster and score blocks; deterministic regardless of worker count."""
-    cfg = EvalConfig(alpha=alpha)
-
-    def one(block):
-        clustering = cluster_block(block, graph, threshold)
-        return block.block_key, clustering, block_scores(clustering, block, cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, blocks))
-    else:
-        results = [one(b) for b in blocks]
-    results.sort(key=lambda t: t[0])
-    return results
-
-
 def _check_blocks_in_graph(blocks, graph) -> None:
     """Every evaluated gold record must be an authored record, and every
     evaluated block name an author, in the records the graph was built from."""
@@ -163,19 +174,19 @@ def cmd_run(args) -> int:
     seed = _setting(args, config, "seed", 0, int)
     alpha = _setting(args, config, "alpha", 0.5, float)
     workers = _setting(args, config, "workers", 1, int)
-    for t in thresholds:
-        if t < 1 or t % 2 == 0:
-            raise UsageError(f"threshold must be odd and >= 1, got {t}")
+    _check_settings(thresholds, alpha, sample_count=sample_count)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = build_blocks(gold)
+    if not blocks:
+        raise DataIntegrityError(f"gold file {args.gold} has no blocks to evaluate")
     if sample_count is not None:
-        if sample_count > blocks.n:
+        if sample_count > len(blocks):
             raise UsageError(
-                f"sample count {sample_count} exceeds {blocks.n} available blocks")
+                f"sample count {sample_count} exceeds {len(blocks)} available blocks")
         blocks = sample_blocks(blocks, sample_count, seed)
     _check_blocks_in_graph(blocks, graph)
     blocks_by_key = {b.block_key: b for b in blocks}
@@ -183,28 +194,29 @@ def cmd_run(args) -> int:
     comparisons = count_comparisons(blocks)
     report = {
         "alpha": alpha,
-        "sample_count": blocks.n,
+        "sample_count": len(blocks),
         "sample_seed": seed,
         "comparisons": comparisons,
         "thresholds": [],
     }
     for t in thresholds:
-        results = _evaluate_blocks(blocks.blocks, graph, t, alpha, workers)
-        observed = sum(c.comparisons for _, c, _ in results)
+        def one(block):
+            clustering = cluster_block(block, graph, t)
+            return clustering, block_scores(clustering, block, alpha)
+
+        clusterings, scores = zip(*_per_block(one, blocks, workers))
+        observed = sum(c.comparisons for c in clusterings)
         if observed != comparisons:
             raise DataIntegrityError(
                 f"comparison audit failed: {observed} != {comparisons}")
-        write_clusters_tsv([c for _, c, _ in results], blocks_by_key,
-                           out_dir / f"clusters_t{t}.tsv")
-        per_block = [
-            {"block_key": key, "m": blocks_by_key[key].m, **_triple(s)}
-            for key, _, s in results
-        ]
-        corpus = corpus_scores([s for _, _, s in results])
+        write_clusters_tsv(clusterings, blocks_by_key, out_dir / f"clusters_t{t}.tsv")
+        per_block = [{"block_key": b.block_key, "m": b.m, **_triple(s)}
+                     for b, s in zip(blocks, scores)]
+        corpus = corpus_scores(scores)
         report["thresholds"].append(
             {"threshold": t, "corpus": _triple(corpus), "per_block": per_block})
         print(f"threshold={t}: P={corpus.precision:.4f} R={corpus.recall:.4f} "
-              f"F={corpus.f:.4f} ({blocks.n} blocks, {comparisons} comparisons)")
+              f"F={corpus.f:.4f} ({len(blocks)} blocks, {comparisons} comparisons)")
     _dump_json(report, out_dir / "report.json")
     return EXIT_OK
 
@@ -216,13 +228,13 @@ def cmd_common_names(args) -> int:
     alpha = _setting(args, config, "alpha", 0.5, float)
     resolution = _setting(args, config, "resolution", 1.0, float)
     workers = _setting(args, config, "workers", 1, int)
+    _check_settings([threshold], alpha, resolution)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = [b for b in build_blocks(gold) if b.m > min_block_size]
-    blocks.sort(key=lambda b: b.block_key)
     _check_blocks_in_graph(blocks, graph)
 
     report = {
@@ -238,37 +250,26 @@ def cmd_common_names(args) -> int:
         print(f"common-names: no blocks larger than {min_block_size} publications")
         return EXIT_OK
 
-    eval_cfg = EvalConfig(alpha=alpha)
-    louvain_cfg = LouvainConfig(resolution=resolution)
-
     def one(block):
         base = cluster_block(block, graph, threshold)
-        refined, info = refine_with_report(block, base, graph, louvain_cfg)
-        return (block.block_key, block_scores(base, block, eval_cfg),
-                block_scores(refined, block, eval_cfg), info)
+        refined, info = refine_with_report(block, base, graph, resolution)
+        return block_scores(base, block, alpha), block_scores(refined, block, alpha), info
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, blocks))
-    else:
-        results = [one(b) for b in blocks]
-    results.sort(key=lambda t: t[0])
-
-    blocks_by_key = {b.block_key: b for b in blocks}
-    before = corpus_scores([r[1] for r in results])
-    after = corpus_scores([r[2] for r in results])
+    results = _per_block(one, blocks, workers)
+    before = corpus_scores([r[0] for r in results])
+    after = corpus_scores([r[1] for r in results])
     report["status"] = "ok"
     report["before"] = _triple(before)
     report["after"] = _triple(after)
     report["per_block"] = [
         {
-            "block_key": key,
-            "m": blocks_by_key[key].m,
+            "block_key": b.block_key,
+            "m": b.m,
             "before": _triple(b_scores),
             "after": _triple(a_scores),
             **info,
         }
-        for key, b_scores, a_scores, info in results
+        for b, (b_scores, a_scores, info) in zip(blocks, results)
     ]
     _dump_json(report, out_dir / "common_names.json")
     print(f"common-names: {len(blocks)} blocks > {min_block_size} pubs")

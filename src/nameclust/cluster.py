@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gold import Block, BlockSet
+from .gold import Block
 from .graph import BipartiteGraph
 from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
 
@@ -58,9 +58,9 @@ class Clustering:
     comparisons: int = 0
 
 
-def count_comparisons(bs: BlockSet) -> int:
+def count_comparisons(blocks: list[Block]) -> int:
     """Total pairwise comparisons over all blocks: sum of m(m-1)/2."""
-    return sum(b.m * (b.m - 1) // 2 for b in bs)
+    return sum(b.m * (b.m - 1) // 2 for b in blocks)
 
 
 def groups_to_clustering(block_key, groups, comparisons=0) -> Clustering:

@@ -15,6 +15,7 @@ from .gold import Block
 from .graph import BipartiteGraph, pubs_within
 
 ORDER_WEIGHTS = {1: 2.0, 2: 1.0}
+MAX_PASSES = 100  # cap on Louvain aggregation levels
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,6 @@ class Partition:
         for node, cid in self.assignment.items():
             out.setdefault(cid, set()).add(node)
         return [out[cid] for cid in sorted(out)]
-
-
-@dataclass(frozen=True)
-class LouvainConfig:
-    resolution: float = 1.0
-    max_passes: int = 100
-    node_order: str = "sorted_id"
-    seed: int = 0  # reserved; sorted_id order ignores it
 
 
 def build_similarity_graph(b: Block, g: BipartiteGraph) -> WeightedPubGraph:
@@ -151,11 +144,10 @@ def _aggregate(adj, self_w, comm):
     return new_adj, new_self, mapping
 
 
-def louvain(g: WeightedPubGraph, cfg: LouvainConfig = LouvainConfig()) -> Partition:
-    """Two-phase greedy modularity maximization, deterministic."""
-    if cfg.node_order != "sorted_id":
-        raise ValueError(f"unsupported node order {cfg.node_order!r}")
-    if cfg.resolution <= 0:
+def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
+    """Two-phase greedy modularity maximization, deterministic: nodes are
+    visited in sorted id order."""
+    if resolution <= 0:
         raise ValueError("resolution must be positive")
     nodes = list(g.nodes)
     index = {u: i for i, u in enumerate(nodes)}
@@ -172,9 +164,9 @@ def louvain(g: WeightedPubGraph, cfg: LouvainConfig = LouvainConfig()) -> Partit
 
     node_to_super = list(range(len(nodes)))
     passes = 0
-    while passes < cfg.max_passes:
+    while passes < MAX_PASSES:
         k = [sum(adj[i].values()) + 2.0 * self_w[i] for i in range(len(adj))]
-        comm, moved = _local_move(adj, self_w, k, total, cfg.resolution)
+        comm, moved = _local_move(adj, self_w, k, total, resolution)
         if not moved:
             break
         passes += 1
@@ -188,32 +180,26 @@ def louvain(g: WeightedPubGraph, cfg: LouvainConfig = LouvainConfig()) -> Partit
     assignment = {nodes[i]: first_seen[node_to_super[i]]
                   for i in range(len(nodes))}
     part = Partition(assignment=assignment, passes=passes)
-    part.q = modularity(g, part, cfg.resolution)
+    part.q = modularity(g, part, resolution)
     return part
 
 
-def refine_clustering(b: Block, base: Clustering, g: BipartiteGraph,
-                      cfg: LouvainConfig = LouvainConfig()) -> Clustering:
-    refined, _ = refine_with_report(b, base, g, cfg)
-    return refined
-
-
 def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
-                       cfg: LouvainConfig = LouvainConfig()):
+                       resolution: float = 1.0):
     """Re-cluster the block by Louvain communities of its similarity graph.
 
     Returns (Clustering, report) where the report carries modularity
     before/after, pass count, and community count for the JSON export.
     """
     wg = build_similarity_graph(b, g)
-    part = louvain(wg, cfg)
+    part = louvain(wg, resolution)
     q_before = None
     if wg.edges:
         base_part = Partition(assignment={
             rid: i for i, cid in enumerate(sorted(base.clusters))
             for rid in base.clusters[cid]
         })
-        q_before = modularity(wg, base_part, cfg.resolution)
+        q_before = modularity(wg, base_part, resolution)
     refined = groups_to_clustering(
         b.block_key, part.communities(), comparisons=base.comparisons
     )

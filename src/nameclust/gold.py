@@ -31,25 +31,6 @@ class Block:
     def m(self) -> int:
         return len(self.members)
 
-    @property
-    def gold_classes(self) -> dict[str, frozenset[str]]:
-        classes: dict[str, set[str]] = {}
-        for rid, key in self.gold_label.items():
-            classes.setdefault(key, set()).add(rid)
-        return {k: frozenset(v) for k, v in classes.items()}
-
-
-@dataclass
-class BlockSet:
-    blocks: list[Block]
-
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
 
 def build_gold_standard(records, min_gold_authors: int = 1) -> GoldStandard:
     """Collect suffix-identified mentions into the evaluation universe.
@@ -74,7 +55,8 @@ def build_gold_standard(records, min_gold_authors: int = 1) -> GoldStandard:
     return GoldStandard(entries=entries)
 
 
-def build_blocks(gold: GoldStandard) -> BlockSet:
+def build_blocks(gold: GoldStandard) -> list[Block]:
+    """One block per gold block key, in key order."""
     blocks = []
     for block_key in sorted(gold.entries):
         labels: dict[str, str] = {}
@@ -94,17 +76,18 @@ def build_blocks(gold: GoldStandard) -> BlockSet:
                 gold_label=labels,
             )
         )
-    return BlockSet(blocks=blocks)
+    return blocks
 
 
-def sample_blocks(bs: BlockSet, count: int, seed: int) -> BlockSet:
-    """Uniform sample without replacement, deterministic per seed."""
-    if count > bs.n:
-        raise ValueError(f"cannot sample {count} of {bs.n} blocks")
-    ordered = sorted(bs.blocks, key=lambda b: b.block_key)
+def sample_blocks(blocks: list[Block], count: int, seed: int) -> list[Block]:
+    """Uniform sample without replacement, deterministic per seed; the
+    sample is in key order."""
+    if count > len(blocks):
+        raise ValueError(f"cannot sample {count} of {len(blocks)} blocks")
+    ordered = sorted(blocks, key=lambda b: b.block_key)
     chosen = random.Random(seed).sample(ordered, count)
     chosen.sort(key=lambda b: b.block_key)
-    return BlockSet(blocks=chosen)
+    return chosen
 
 
 def write_gold(gold: GoldStandard, path) -> None:
@@ -117,12 +100,25 @@ def write_gold(gold: GoldStandard, path) -> None:
         fh.write("\n")
 
 
+def _is_author_map(authors) -> bool:
+    """A gold block's shape: gold author key -> list of record ids."""
+    return isinstance(authors, dict) and all(
+        isinstance(rids, list) and all(isinstance(r, str) for r in rids)
+        for rids in authors.values())
+
+
 def read_gold(path) -> GoldStandard:
+    """Read ``write_gold``'s format; a file of another shape raises
+    ``DataIntegrityError`` naming the first offending block."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return GoldStandard(
-        entries={
-            bk: {ak: set(rids) for ak, rids in authors.items()}
-            for bk, authors in obj.items()
-        }
-    )
+    if not isinstance(obj, dict):
+        raise DataIntegrityError(f"{path}: gold file is not a JSON object of blocks")
+    entries = {}
+    for bk, authors in obj.items():
+        if not _is_author_map(authors):
+            raise DataIntegrityError(
+                f"{path}: gold block {bk!r} does not map gold author keys to "
+                f"lists of record ids")
+        entries[bk] = {ak: set(rids) for ak, rids in authors.items()}
+    return GoldStandard(entries=entries)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnknownNodeError
+from .errors import DataIntegrityError, UnknownNodeError
 
 INFINITE = math.inf
 
@@ -40,12 +40,6 @@ class BipartiteGraph:
     def n_authors(self) -> int:
         return len(self.author_names)
 
-    def pub_degree(self, record_id: str) -> int:
-        return len(self.pub_authors[self.pub_id(record_id)])
-
-    def authors_of(self, record_id: str) -> list[str]:
-        return [self.author_names[a] for a in self.pub_authors[self.pub_id(record_id)]]
-
     def pub_id(self, record_id: str) -> int:
         try:
             return self.pub_index[record_id]
@@ -68,11 +62,15 @@ def build_graph(records) -> BipartiteGraph:
     ``records`` is consumed once, so a generator streams: only record
     ids and surface names are kept. Records without author mentions are
     skipped; duplicate same-name mentions on one record collapse to a
-    single edge.
+    single edge. Two authored records with one id raise
+    ``DataIntegrityError``.
     """
     pubs = {}
     for rec in records:
         if rec.mentions:
+            if rec.record_id in pubs:
+                raise DataIntegrityError(
+                    f"record id {rec.record_id!r} occurs twice in the records")
             pubs[rec.record_id] = {m.surface_name for m in rec.mentions}
     return BipartiteGraph(pubs)
 

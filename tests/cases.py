@@ -1,13 +1,16 @@
-"""Fixed graph family for checking Louvain against exhaustive search.
+"""Shared test inputs.
 
-All graphs have at most 12 nodes so the set-partition argmax stays
+The fixed graph family checks Louvain against exhaustive search. All
+its graphs have at most 12 nodes so the set-partition argmax stays
 enumerable: bridged cliques, stars, paths, and planted two-community
-blocks with the {2, 1} weight scheme.
+blocks with the {2, 1} weight scheme. ``shared_coauthor_corpus`` draws
+small corpora whose blocks share co-authors.
 """
 
 import itertools
 import random
 
+from conftest import rec
 from nameclust.community import WeightedPubGraph
 
 
@@ -71,3 +74,19 @@ def fixed_louvain_graphs():
         "planted_5_5_2bridges": planted_two_communities(5, 2, seed=2),
         "planted_4_4_2bridges": planted_two_communities(4, 2, seed=3),
     }
+
+
+def shared_coauthor_corpus(rng):
+    """Records over one small co-author pool shared by every block; some
+    records carry several focal names, some a focal name without a gold
+    suffix (publications outside the block that carry its name)."""
+    focal = ["Focal A", "Focal B", "Focal C"]
+    pool = [f"Co {i}" for i in range(rng.randint(2, 10))]
+    records = []
+    for i in range(rng.randint(4, 40)):
+        names = []
+        for f in rng.sample(focal, rng.choice([0, 1, 1, 1, 2, 3])):
+            names.append(f"{f} {rng.randint(1, 3):04d}" if rng.random() < 0.8 else f)
+        names += rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        records.append(rec(f"r{i:03d}", *(names or [rng.choice(pool)])))
+    return records

@@ -16,7 +16,7 @@ import oracles
 from nameclust.bcubed import block_scores, corpus_scores, item_scores
 from nameclust.cli import main as cli_main
 from nameclust.cluster import cluster_block, count_comparisons
-from nameclust.community import LouvainConfig, Partition, louvain, modularity, refine_clustering
+from nameclust.community import Partition, louvain, modularity, refine_with_report
 from nameclust.dblp_xml import parse_dblp
 from nameclust.gold import build_blocks, build_gold_standard, sample_blocks
 from nameclust.graph import build_graph
@@ -64,7 +64,7 @@ def test_criterion_2_and_3_components_and_audit():
         bridge_rate=0.25, seed=424242))
     graph = build_graph(records)
     block_set = build_blocks(build_gold_standard(records))
-    assert block_set.n == 200
+    assert len(block_set) == 200
     assert max(b.m for b in block_set) <= 200
     nxg = oracles.build_nx_graph(records)
 
@@ -128,7 +128,7 @@ def test_criterion_5_table2_direction_synthetic():
     before, after = [], []
     for block in blocks:
         base = cluster_block(block, graph, 3)
-        refined = refine_clustering(block, base, graph, LouvainConfig())
+        refined, _ = refine_with_report(block, base, graph)
         before.append(block_scores(base, block))
         after.append(block_scores(refined, block))
     b = corpus_scores(before)

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from nameclust.bcubed import (
     BcubedScores,
-    EvalConfig,
     block_scores,
     corpus_scores,
     f_measure,
@@ -55,15 +54,13 @@ def test_item_outside_block_rejected():
 
 
 def test_block_f_is_mean_of_item_fs():
-    # items at F 0.4 and 1.0 average to 0.7; the harmonic-of-means
-    # variant would give a different number
+    # items at F 0.4 and 1.0 average to 0.7; the harmonic combination of
+    # the mean P and R would give a different number
     block = make_block({"p1": "x", "p2": "x", "p3": "x", "p4": "x", "p5": "y"})
     c = make_clustering([["p1"], ["p2"], ["p3"], ["p4"], ["p5"]])
     s = block_scores(c, block)
     assert s.f == pytest.approx((4 * 0.4 + 1.0) / 5)
-    variant = block_scores(c, block, EvalConfig(f_from_means=True))
-    assert variant.f == pytest.approx(f_measure(s.precision, s.recall))
-    assert variant.f != pytest.approx(s.f)
+    assert s.f != pytest.approx(f_measure(s.precision, s.recall))
 
 
 def test_one_big_cluster_law():
@@ -149,13 +146,6 @@ def test_corpus_macro_average():
     assert corpus_scores([a]) == a
     c = corpus_scores([a, b])
     assert (c.precision, c.recall, c.f) == (0.75, 0.75, 0.75)
-
-
-def test_corpus_micro_variant():
-    a = BcubedScores(1.0, 1.0, 1.0)
-    b = BcubedScores(0.5, 0.5, 0.5)
-    c = corpus_scores([a, b], weights=[3, 1])
-    assert c.precision == pytest.approx(0.875)
 
 
 def test_corpus_empty_rejected():

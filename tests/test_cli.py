@@ -325,3 +325,73 @@ def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, ca
     assert run_cli(argv[0], "--records", records, "--gold", gold,
                    "--out-dir", tmp_path / "o", *argv[1:]) == 2
     assert "block 'Nobody Here' is not an author name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["common-names", "--threshold", 2], None, "threshold must be odd and >= 1, got 2"),
+    (["run", "--threshold", 1, "--threshold", 0], None, "threshold must be odd"),
+    (["common-names", "--resolution", 0], None, "resolution must be positive"),
+    (["common-names", "--resolution", "inf"], None, "resolution must be positive"),
+    (["run", "--sample-count", 0], None, "sample count must be >= 1, got 0"),
+    (["run", "--sample-count", -1], None, "sample count must be >= 1, got -1"),
+    (["run", "--alpha", 2], None, "alpha must lie in [0, 1], got 2.0"),
+    (["common-names", "--alpha", -0.5], None, "alpha must lie in [0, 1]"),
+    (["run", "--alpha", "nan"], None, "alpha must lie in [0, 1]"),
+    (["run"], "alpha = 2\n", "alpha must lie in [0, 1]"),
+    (["run"], "sample_count = 0\n", "sample count must be >= 1"),
+    (["common-names"], "threshold = 4\n", "threshold must be odd"),
+    (["common-names"], "resolution = -1\n", "resolution must be positive"),
+    (["run"], "alpha = half\n", "--config: bad value 'half' for alpha"),
+])
+def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config,
+                                                  message):
+    # the records and gold files do not exist, so reading either would
+    # exit 2; the setting is rejected first
+    extra = []
+    if config is not None:
+        (tmp_path / "bad.conf").write_text(config)
+        extra = ["--config", tmp_path / "bad.conf"]
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--records", tmp_path / "none.jsonl",
+                   "--gold", tmp_path / "none.json", "--out-dir", out,
+                   *argv[1:], *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nameclust: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_with_empty_gold_exits_2(tmp_path, synth_corpus, capsys):
+    records, gold = synth_corpus
+    gold.write_text("{}\n")
+    assert run_cli("run", "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o") == 2
+    assert "has no blocks to evaluate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_of_wrong_shape_exits_2(tmp_path, synth_corpus, capsys, argv):
+    records, gold = synth_corpus
+    gold_obj = json.loads(gold.read_text())
+    last = sorted(gold_obj)[-1]
+    gold_obj[last] = sorted(next(iter(gold_obj[last].values())))
+    gold.write_text(json.dumps(gold_obj))
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {gold}: gold block {last!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_duplicate_record_id_exits_2(tmp_path, synth_corpus, capsys, argv):
+    records, gold = synth_corpus
+    lines = records.read_text().splitlines()
+    first = json.loads(lines[0])
+    dup = json.loads(lines[5])
+    dup["id"] = first["id"]
+    lines.insert(7, json.dumps(dup))
+    records.write_text("\n".join(lines) + "\n")
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    assert f"record id {first['id']!r} occurs twice" in capsys.readouterr().err

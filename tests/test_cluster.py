@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cases
 import oracles
 from conftest import rec
 from nameclust.cluster import (
@@ -11,7 +12,7 @@ from nameclust.cluster import (
     groups_to_clustering,
     write_clusters_tsv,
 )
-from nameclust.gold import Block, BlockSet, build_blocks, build_gold_standard
+from nameclust.gold import Block, build_blocks, build_gold_standard
 from nameclust.graph import build_graph, pub_distance
 from nameclust.synth import SynthConfig, generate_corpus
 
@@ -25,7 +26,7 @@ def _blockset(*sizes):
     for i, m in enumerate(sizes):
         labels = {f"b{i}/p{j}": f"k{i}" for j in range(m)}
         blocks.append(_block(f"key{i}", labels))
-    return BlockSet(blocks=blocks)
+    return blocks
 
 
 def test_count_comparisons():
@@ -73,7 +74,7 @@ def test_all_infinite_gives_singletons():
         rec("p3", "X Y 0002", "C C"),
     ]
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     c = cluster_block(block, graph, 3)
     assert len(c.clusters) == 3
     assert c.comparisons == 3
@@ -159,7 +160,7 @@ def test_distance_5_chain_stays_split_at_threshold_3():
         rec("p2", "F Name 0002", "C C"),
     ]
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     assert pub_distance(graph, "p1", "p2", 5, "F Name") == 5
     nxg = oracles.build_nx_graph(records)
     for threshold, want in ((1, [["p1"], ["p2"]]), (3, [["p1"], ["p2"]]),
@@ -190,29 +191,13 @@ def test_record_with_two_focal_names():
     assert _partition(cluster_block(jun, graph, 3)) == [["r1", "r2", "r4"]]
 
 
-def _shared_coauthor_corpus(rng):
-    """Records over one small co-author pool shared by every block; some
-    records carry several focal names, some a focal name without a gold
-    suffix (publications outside the block that carry its name)."""
-    focal = ["Focal A", "Focal B", "Focal C"]
-    pool = [f"Co {i}" for i in range(rng.randint(2, 10))]
-    records = []
-    for i in range(rng.randint(4, 40)):
-        names = []
-        for f in rng.sample(focal, rng.choice([0, 1, 1, 1, 2, 3])):
-            names.append(f"{f} {rng.randint(1, 3):04d}" if rng.random() < 0.8 else f)
-        names += rng.sample(pool, rng.randint(0, min(3, len(pool))))
-        records.append(rec(f"r{i:03d}", *(names or [rng.choice(pool)])))
-    return records
-
-
 def test_components_equivalence_shared_coauthors():
     # blocks here share co-authors, so the threshold-3 paths run through
     # publications outside the block, which the synthetic corpora never do
     rng = random.Random(2024)
     units = 0
     for _ in range(150):
-        records = _shared_coauthor_corpus(rng)
+        records = cases.shared_coauthor_corpus(rng)
         graph = build_graph(records)
         nxg = oracles.build_nx_graph(records)
         for block in build_blocks(build_gold_standard(records)):

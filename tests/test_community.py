@@ -6,15 +6,13 @@ import pytest
 import cases
 import oracles
 from conftest import rec
-from nameclust.cluster import cluster_block
+from nameclust.cluster import DisjointSet, cluster_block
 from nameclust.community import (
-    LouvainConfig,
     Partition,
     WeightedPubGraph,
     build_similarity_graph,
     louvain,
     modularity,
-    refine_clustering,
     refine_with_report,
 )
 from nameclust.errors import UndefinedModularityError
@@ -52,10 +50,40 @@ def test_similarity_graph_weights(fig1_records):
 def test_similarity_graph_no_links():
     records = [rec("p1", "X Y 0001", "A A"), rec("p2", "X Y 0002", "B B")]
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     wg = build_similarity_graph(block, graph)
     assert wg.edges == {}
     assert wg.nodes == ("p1", "p2")
+
+
+def _edge_components(nodes, edges):
+    ds = DisjointSet(nodes)
+    for u, v in edges:
+        ds.union(u, v)
+    return sorted((frozenset(g) for g in ds.groups()), key=sorted)
+
+
+def test_similarity_graph_components_are_threshold_clusters():
+    # weight-2 edges join members at distance 1 and weight-1 edges those
+    # at distance 3, so the components of the weight-2 edges are the
+    # threshold-1 clusters and those of all edges the threshold-3
+    # clusters; the blocks here share co-authors, so paths run through
+    # publications outside the block
+    rng = random.Random(1810)
+    units = 0
+    for _ in range(150):
+        records = cases.shared_coauthor_corpus(rng)
+        graph = build_graph(records)
+        for block in build_blocks(build_gold_standard(records)):
+            wg = build_similarity_graph(block, graph)
+            strong = [e for e, w in wg.edges.items() if w == 2.0]
+            for threshold, edges in ((1, strong), (3, list(wg.edges))):
+                c = cluster_block(block, graph, threshold)
+                want = sorted((frozenset(v) for v in c.clusters.values()), key=sorted)
+                assert _edge_components(wg.nodes, edges) == want, \
+                    (block.block_key, threshold)
+                units += 1
+    assert units > 800
 
 
 # -- modularity --------------------------------------------------------------
@@ -155,9 +183,7 @@ def test_beats_singletons_on_random_graphs():
 def test_resolution_validated():
     g = wgraph(["a", "b"], {("a", "b"): 1.0})
     with pytest.raises(ValueError):
-        louvain(g, LouvainConfig(resolution=0.0))
-    with pytest.raises(ValueError):
-        louvain(g, LouvainConfig(node_order="random"))
+        louvain(g, resolution=0.0)
 
 
 def test_never_exceeds_exhaustive_maximum():
@@ -197,10 +223,10 @@ def _planted_block(bridges=1):
 def test_refinement_splits_bridged_authors():
     records = _planted_block()
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
     assert len(base.clusters) == 1  # bridge over-merges at threshold 3
-    refined = refine_clustering(block, base, graph)
+    refined, _ = refine_with_report(block, base, graph)
     groups = sorted((sorted(v) for v in refined.clusters.values()))
     assert groups == [
         [f"p1{j}" for j in range(5)],
@@ -220,9 +246,9 @@ def test_refinement_fixed_point():
         rec("p2", "Solo Name 0001", "Q Q"),
     ]
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
-    refined = refine_clustering(block, base, graph)
+    refined, _ = refine_with_report(block, base, graph)
     assert refined.assignment == base.assignment
 
 
@@ -233,7 +259,7 @@ def test_isolated_members_stay_singletons():
         rec("p3", "Iso Name 0002", "Z Z"),
     ]
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
     refined, report = refine_with_report(block, base, graph)
     assert refined.clusters[min({"p3"})] == frozenset({"p3"})
@@ -243,7 +269,7 @@ def test_isolated_members_stay_singletons():
 def test_report_fields():
     records = _planted_block()
     graph = build_graph(records)
-    block = build_blocks(build_gold_standard(records)).blocks[0]
+    block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
     refined, report = refine_with_report(block, base, graph)
     assert report["q_after"] > report["q_before"]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import rec
@@ -34,7 +36,7 @@ def test_build_gold_standard(wei_li_corpus):
 def test_no_suffixed_names_gives_empty_gold():
     gold = build_gold_standard([rec("p1", "Jane Roe")])
     assert gold.entries == {}
-    assert build_blocks(gold).n == 0
+    assert build_blocks(gold) == []
 
 
 def test_min_gold_authors_filter():
@@ -44,23 +46,19 @@ def test_min_gold_authors_filter():
 
 
 def test_build_blocks(wei_li_corpus):
-    bs = build_blocks(build_gold_standard(wei_li_corpus))
-    assert bs.n == 1
-    block = bs.blocks[0]
+    blocks = build_blocks(build_gold_standard(wei_li_corpus))
+    assert len(blocks) == 1
+    block = blocks[0]
     assert block.block_key == "Wei Li"
     assert block.m == 3
     assert block.gold_label == {
         "p1": "Wei Li 0001", "p2": "Wei Li 0001", "p3": "Wei Li 0002"}
-    assert len(block.gold_classes) == 2
+    assert len(set(block.gold_label.values())) == 2
 
 
 def test_gold_label_partitions_members(wei_li_corpus):
-    block = build_blocks(build_gold_standard(wei_li_corpus)).blocks[0]
-    covered = set()
-    for rids in block.gold_classes.values():
-        assert not covered & rids
-        covered |= rids
-    assert covered == set(block.members)
+    block = build_blocks(build_gold_standard(wei_li_corpus))[0]
+    assert set(block.gold_label) == set(block.members)
 
 
 def test_conflicting_gold_assignment_rejected():
@@ -101,3 +99,24 @@ def test_gold_round_trip(tmp_path, wei_li_corpus):
     path = tmp_path / "gold.json"
     write_gold(gold, path)
     assert read_gold(path).entries == gold.entries
+
+
+@pytest.mark.parametrize("obj, block", [
+    ({"A": ["a/1"]}, "A"),
+    ({"A": {"A 0001": ["a/1"]}, "B": {"B 0001": "b/1"}}, "B"),
+    ({"A": {"A 0001": [1]}}, "A"),
+    ({"A": None}, "A"),
+    ([{"A": {"A 0001": ["a/1"]}}], None),
+    ("A", None),
+])
+def test_read_gold_rejects_other_shapes(tmp_path, obj, block):
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataIntegrityError) as exc:
+        read_gold(path)
+    message = str(exc.value)
+    assert str(path) in message
+    if block is None:
+        assert "not a JSON object of blocks" in message
+    else:
+        assert f"gold block {block!r}" in message

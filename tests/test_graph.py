@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import rec
-from nameclust.errors import UnknownNodeError
+from nameclust.errors import DataIntegrityError, UnknownNodeError
 from nameclust.graph import INFINITE, build_graph, pub_distance, pubs_within
 from nameclust.synth import SynthConfig, generate_corpus
 
@@ -20,8 +20,9 @@ def test_structure(fig1_graph):
     assert g.n_pubs == 5
     # suffixes are stripped: 'Daniel Schall 0001' -> author node 'Daniel Schall'
     assert "Daniel Schall" in g.author_index
-    assert g.pub_degree("k/p1") == 2
-    assert g.authors_of("k/p5") == ["Alice A", "Bob B"]
+    assert len(g.pub_authors[g.pub_id("k/p1")]) == 2
+    assert [g.author_names[a] for a in g.pub_authors[g.pub_id("k/p5")]] == \
+        ["Alice A", "Bob B"]
 
 
 def test_records_without_mentions_excluded():
@@ -40,9 +41,14 @@ def test_one_shot_generator_builds_the_same_graph():
     assert from_gen.n_pubs == len(records) - 1
 
 
+def test_duplicate_record_id_rejected():
+    with pytest.raises(DataIntegrityError, match="'p1' occurs twice"):
+        build_graph([rec("p1", "A B"), rec("p2", "C D"), rec("p1", "E F")])
+
+
 def test_duplicate_names_collapse_to_one_edge():
     g = build_graph([rec("p1", "A B", "A B", "C D")])
-    assert g.pub_degree("p1") == 2
+    assert len(g.pub_authors[g.pub_id("p1")]) == 2
 
 
 def test_shared_coauthor_distance_is_1(fig1_graph):
