@@ -141,7 +141,10 @@ def cmd_synth(args) -> int:
         shared_pool_size=args.shared_pool,
         seed=args.seed,
     )
-    records = generate_corpus(cfg)
+    try:
+        records = generate_corpus(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     write_records(records, args.records_out)
     gold = build_gold_standard(records)
     write_gold(gold, args.gold_out)
@@ -278,24 +281,58 @@ def cmd_common_names(args) -> int:
     return EXIT_OK
 
 
+_REPORT_KINDS = {dict: "an object", list: "a list", int: "an integer",
+                 (int, float): "a number"}
+
+
+def _report_value(path, value, where, kind):
+    """``value``, found at ``where`` in the report at ``path``, checked to
+    be of ``kind``."""
+    if value is None:
+        raise DataIntegrityError(f"{path}: {where} is missing")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataIntegrityError(
+            f"{path}: {where} must be {_REPORT_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _report_scores(path, value, where):
+    """The BCubed P, R and F of the scores object found at ``where``."""
+    scores = _report_value(path, value, where, dict)
+    return [_report_value(path, scores.get(m), f"{where}.{m}", (int, float))
+            for m in ("p", "r", "f")]
+
+
 def cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
+    path = args.report
+    with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "thresholds" in obj:
-        print(f"{'':<14}{'BCubed P':>10}{'BCubed R':>10}{'BCubed F':>10}")
-        for entry in obj["thresholds"]:
-            c = entry["corpus"]
-            print(f"threshold={entry['threshold']:<4}"
-                  f"{c['p']:>10.2f}{c['r']:>10.2f}{c['f']:>10.2f}")
-        print(f"blocks: {obj['sample_count']}  comparisons: {obj['comparisons']}")
-    elif "before" in obj:
-        print(f"{'':<8}{'BCubed P':>10}{'BCubed R':>10}{'BCubed F':>10}")
-        for label in ("before", "after"):
-            c = obj[label]
-            print(f"{label:<8}{c['p']:>10.2f}{c['r']:>10.2f}{c['f']:>10.2f}")
-        print(f"qualifying blocks: {obj['qualifying_blocks']}")
+    keys = obj.keys() if isinstance(obj, dict) else ()
+    if "thresholds" in keys:
+        rows = []
+        for i, entry in enumerate(_report_value(path, obj["thresholds"], "thresholds", list)):
+            where = f"thresholds[{i}]"
+            entry = _report_value(path, entry, where, dict)
+            t = _report_value(path, entry.get("threshold"), f"{where}.threshold", int)
+            rows.append((f"threshold={t:<4}",
+                         _report_scores(path, entry.get("corpus"), f"{where}.corpus")))
+        blocks = _report_value(path, obj.get("sample_count"), "sample_count", int)
+        comparisons = _report_value(path, obj.get("comparisons"), "comparisons", int)
+        footer = f"blocks: {blocks}  comparisons: {comparisons}"
+        width = 14
+    elif "before" in keys:
+        rows = [(label, _report_scores(path, obj.get(label), label))
+                for label in ("before", "after")]
+        qualifying = _report_value(path, obj.get("qualifying_blocks"), "qualifying_blocks", int)
+        footer = f"qualifying blocks: {qualifying}"
+        width = 8
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
+        return EXIT_OK
+    print(f"{'':<{width}}{'BCubed P':>10}{'BCubed R':>10}{'BCubed F':>10}")
+    for label, (p, r, f) in rows:
+        print(f"{label:<{width}}{p:>10.2f}{r:>10.2f}{f:>10.2f}")
+    print(footer)
     return EXIT_OK
 
 

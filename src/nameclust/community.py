@@ -45,11 +45,10 @@ def build_similarity_graph(b: Block, g: BipartiteGraph) -> WeightedPubGraph:
     """Edges between block members at co-author order 1 (weight 2.0) or
     minimal order 2 (weight 1.0); the block's own author node is excluded."""
     nodes = tuple(sorted(b.members))
-    member_set = set(nodes)
     edges: dict[tuple[str, str], float] = {}
     for p in nodes:
         for q, order in pubs_within(g, p, 2, b.block_key).items():
-            if q <= p or q not in member_set:
+            if q <= p or q not in b.members:
                 continue
             edges[(p, q)] = ORDER_WEIGHTS[order]
     return WeightedPubGraph(nodes=nodes, edges=edges)
@@ -78,15 +77,16 @@ def modularity(g: WeightedPubGraph, p: Partition, resolution: float = 1.0) -> fl
     return q
 
 
-def _local_move(adj, self_w, k, total, resolution):
-    """One level of greedy node moves; returns (labels, moved_any).
+def _local_move(adj, k, total, resolution):
+    """One level of greedy node moves; returns (communities, moved_any).
 
     Nodes are swept in ascending id order; a node joins the neighboring
     community with the largest positive gain, ties to the lowest label.
+    The communities come back numbered 0..c-1 in ascending label order.
     """
     n = len(adj)
     comm = list(range(n))
-    sigma = [k[i] for i in range(n)]  # total degree per community label
+    sigma = list(k)  # total degree per community label
     moved_any = False
     improved = True
     while improved:
@@ -103,13 +103,9 @@ def _local_move(adj, self_w, k, total, resolution):
                 weights.get(c_old, 0.0) / total
                 - resolution * k[i] * sigma[c_old] / (2.0 * total * total)
             )
-            for c in sorted(weights):
-                if c == c_old:
-                    continue
-                gain = (
-                    weights[c] / total
-                    - resolution * k[i] * sigma[c] / (2.0 * total * total)
-                )
+            # (gain, -label) is a total order, so the visit order is free
+            for c, w in weights.items():
+                gain = w / total - resolution * k[i] * sigma[c] / (2.0 * total * total)
                 if gain > best_gain or (gain == best_gain and c < best_c):
                     best_gain = gain
                     best_c = c
@@ -118,30 +114,28 @@ def _local_move(adj, self_w, k, total, resolution):
             if best_c != c_old:
                 improved = True
                 moved_any = True
-    return comm, moved_any
+    dense = {c: d for d, c in enumerate(sorted(set(comm)))}
+    return [dense[c] for c in comm], moved_any
 
 
 def _aggregate(adj, self_w, comm):
-    """Collapse communities into supernodes, keeping edge weights."""
-    labels = sorted(set(comm))
-    dense = {c: i for i, c in enumerate(labels)}
-    n_new = len(labels)
+    """Collapse communities 0..c-1 into supernodes, keeping edge weights."""
+    n_new = max(comm) + 1
     new_adj = [dict() for _ in range(n_new)]
     new_self = [0.0] * n_new
     for i in range(len(adj)):
-        ci = dense[comm[i]]
+        ci = comm[i]
         new_self[ci] += self_w[i]
         for j, w in adj[i].items():
             if j <= i:
                 continue
-            cj = dense[comm[j]]
+            cj = comm[j]
             if ci == cj:
                 new_self[ci] += w
             else:
                 new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
                 new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    mapping = [dense[c] for c in comm]
-    return new_adj, new_self, mapping
+    return new_adj, new_self
 
 
 def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
@@ -166,12 +160,12 @@ def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
     passes = 0
     while passes < MAX_PASSES:
         k = [sum(adj[i].values()) + 2.0 * self_w[i] for i in range(len(adj))]
-        comm, moved = _local_move(adj, self_w, k, total, resolution)
+        comm, moved = _local_move(adj, k, total, resolution)
         if not moved:
             break
         passes += 1
-        adj, self_w, mapping = _aggregate(adj, self_w, comm)
-        node_to_super = [mapping[comm[s]] for s in node_to_super]
+        adj, self_w = _aggregate(adj, self_w, comm)
+        node_to_super = [comm[s] for s in node_to_super]
 
     # dense ids ordered by each community's lowest node id
     first_seen: dict[int, int] = {}

@@ -14,6 +14,7 @@ import html.entities
 import io
 import sys
 import xml.etree.ElementTree as ET
+import zlib
 
 from .errors import CorpusParseError
 from .records import KINDS, RawRecord, parse_mention
@@ -129,6 +130,12 @@ def _parse(stream):
                 root.remove(elem)
     except ET.ParseError as exc:
         line, col = exc.position if exc.position else (None, None)
+        # str(exc) ends in ": line L, column C", which CorpusParseError restates
+        message = str(exc).rsplit(": line ", 1)[0] if exc.position else str(exc)
         raise CorpusParseError(
-            str(exc), byte_offset=stream.bytes_read, line=line, column=col
+            message, byte_offset=stream.bytes_read, line=line, column=col
+        ) from exc
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise CorpusParseError(
+            f"damaged gzip data: {exc}", byte_offset=stream.bytes_read
         ) from exc

@@ -38,8 +38,9 @@ class CorpusParseError(NameclustError):
 
 
 class DataIntegrityError(NameclustError):
-    """Gold-standard invariant violated (e.g. one record under two gold keys,
-    or a gold record or block name absent from the records)."""
+    """Input invariant violated (e.g. one record under two gold keys, a
+    gold record or block name absent from the records, or a report file
+    of the wrong shape)."""
 
 
 class UnknownNodeError(NameclustError, KeyError):

@@ -32,7 +32,14 @@ class SynthConfig:
 def generate_corpus(cfg: SynthConfig) -> list[RawRecord]:
     """Deterministic per seed; gold ids ride on the focal mentions."""
     if not 0.0 <= cfg.bridge_rate <= 1.0:
-        raise ValueError("bridge rate must be in [0, 1]")
+        raise ValueError(f"bridge rate must be in [0, 1], got {cfg.bridge_rate}")
+    for what, (lo, hi) in (("authors per block", cfg.authors_per_block),
+                           ("publications per author", cfg.pubs_per_author),
+                           ("co-authors per publication", cfg.coauthors_per_pub)):
+        if not 0 <= lo <= hi:
+            raise ValueError(f"{what} must satisfy 0 <= min <= max, got {lo} and {hi}")
+    if cfg.bridge_rate > 0 and cfg.shared_pool_size < 1:
+        raise ValueError("a positive bridge rate needs a shared pool of at least 1")
     rng = random.Random(cfg.seed)
     records: list[RawRecord] = []
     for b in range(cfg.blocks):

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import os
 import subprocess
@@ -61,6 +62,40 @@ def test_ingest_malformed_exits_2(tmp_path, capsys):
                    "--records-out", tmp_path / "r.jsonl",
                    "--gold-out", tmp_path / "g.json") == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_ingest_truncated_gzip_exits_2_with_offset(tmp_path, monkeypatch, capsys, source):
+    packed = gzip.compress(MINIMAL_XML)
+    cut = packed[:len(packed) // 2]
+    xml = tmp_path / "dump.xml.gz"
+    xml.write_bytes(cut)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(cut)))
+        xml = "-"
+    assert run_cli("ingest", "--input", xml,
+                   "--records-out", tmp_path / "r.jsonl",
+                   "--gold-out", tmp_path / "g.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nameclust: data error: damaged gzip data: ")
+    assert "(byte~" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bridge-rate", 1.5], "bridge rate must be in [0, 1], got 1.5"),
+    (["--pubs-min", 3, "--pubs-max", 1], "publications per author must satisfy"),
+    (["--authors-min", 5, "--authors-max", 2], "authors per block must satisfy"),
+    (["--coauthors-min", 4, "--coauthors-max", 3], "co-authors per publication must"),
+    (["--shared-pool", 0, "--bridge-rate", 0.5], "needs a shared pool of at least 1"),
+])
+def test_synth_bad_argument_exits_1(tmp_path, capsys, argv, message):
+    records = tmp_path / "r.jsonl"
+    assert run_cli("synth", "--records-out", records, "--gold-out", tmp_path / "g.json",
+                   *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nameclust: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not records.exists()
 
 
 def test_usage_error_exits_1(capsys):
@@ -187,6 +222,29 @@ def test_report_pretty_print(tmp_path, synth_corpus, capsys):
     assert run_cli("report", out / "report.json") == 0
     text = capsys.readouterr().out
     assert "threshold=1" in text and "BCubed F" in text
+
+
+@pytest.mark.parametrize("report, message", [
+    ({"thresholds": [{"threshold": 1}]}, "thresholds[0].corpus is missing"),
+    ({"thresholds": [3]}, "thresholds[0] must be an object, not int"),
+    ({"thresholds": {}}, "thresholds must be a list, not dict"),
+    ({"thresholds": [{"threshold": "1", "corpus": {"p": 1, "r": 1, "f": 1}}]},
+     "thresholds[0].threshold must be an integer, not str"),
+    ({"thresholds": []}, "sample_count is missing"),
+    ({"before": 3}, "before must be an object, not int"),
+    ({"before": {"p": 1, "r": 1}}, "before.f is missing"),
+    ({"before": {"p": 1, "r": 1, "f": 1}, "after": {"p": 1, "r": True, "f": 1}},
+     "after.r must be a number, not bool"),
+    ({"before": {"p": 1, "r": 1, "f": 1}, "after": {"p": 1, "r": 1, "f": 1}},
+     "qualifying_blocks is missing"),
+])
+def test_report_of_wrong_shape_exits_2(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("report", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"nameclust: data error: {path}: {message}\n"
+    assert captured.out == ""
 
 
 def _python(args, hashseed=0, timeout=120):

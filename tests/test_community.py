@@ -203,6 +203,46 @@ def test_matches_exhaustive_argmax_on_fixed_set(name):
     assert part.q == pytest.approx(best_q, abs=1e-9), name
 
 
+# Graphs on which Louvain used to send a community's members to another
+# supernode when it aggregated a level: the label of a community whose own
+# node had left it was read as that node's new community. Each comes from
+# criterion 4's generator (random.Random(77), draw number in the name).
+MISMAPPED_GRAPHS = {
+    "draw_6": (5, [("n0", "n1", 1.0), ("n0", "n2", 2.0), ("n0", "n4", 1.0),
+                   ("n2", "n3", 2.0), ("n3", "n4", 1.0)]),
+    "draw_214": (7, [("n0", "n1", 2.0), ("n0", "n2", 1.0), ("n0", "n4", 2.0),
+                     ("n0", "n5", 2.0), ("n0", "n6", 1.0), ("n1", "n6", 2.0),
+                     ("n2", "n3", 2.0), ("n2", "n4", 2.0), ("n3", "n5", 2.0)]),
+    "draw_352": (7, [("n0", "n2", 2.0), ("n0", "n6", 2.0), ("n1", "n3", 1.0),
+                     ("n2", "n5", 1.0), ("n2", "n6", 2.0), ("n3", "n4", 1.0),
+                     ("n3", "n6", 2.0)]),
+    "draw_920": (6, [("n0", "n1", 2.0), ("n0", "n4", 2.0), ("n1", "n4", 1.0),
+                     ("n3", "n4", 2.0), ("n3", "n5", 1.0)]),
+}
+
+
+def _mismapped_graph(name):
+    n, edges = MISMAPPED_GRAPHS[name]
+    return wgraph([f"n{i}" for i in range(n)], {(u, v): w for u, v, w in edges})
+
+
+@pytest.mark.parametrize("name", sorted(MISMAPPED_GRAPHS))
+def test_aggregation_keeps_each_community_together(name):
+    g = _mismapped_graph(name)
+    part = louvain(g)
+    best_q, _ = oracles.oracle_best_partition(g.nodes, g.edges)
+    assert part.q == pytest.approx(best_q, abs=1e-9)
+
+
+def test_first_level_optimum_survives_aggregation():
+    # the first level already finds the exhaustive argmax, Q = 1/14;
+    # aggregating it must not merge {n2, n3} into {n0, n1, n4}
+    part = louvain(_mismapped_graph("draw_6"))
+    assert oracles.partition_from_labels(part.assignment) == [
+        frozenset({"n0", "n1", "n4"}), frozenset({"n2", "n3"})]
+    assert part.q == pytest.approx(1 / 14, abs=1e-12)
+
+
 # -- refinement --------------------------------------------------------------
 
 

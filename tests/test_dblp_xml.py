@@ -5,6 +5,8 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nameclust.dblp_xml import parse_dblp
 from nameclust.errors import CorpusParseError
@@ -104,6 +106,58 @@ def test_malformed_xml_reports_offset():
         list(parse_dblp(io.BytesIO(doc)))
     assert exc.value.byte_offset is not None
     assert exc.value.line is not None
+    # ElementTree's own ": line 1, column 34" is not repeated
+    assert str(exc.value) == "unclosed token (byte~41; line 1, col 34)"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "bad_crc"])
+def test_damaged_gzip_reports_offset(damage):
+    packed = bytearray(gzip.compress(MINIMAL))
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    elif damage == "corrupt":
+        packed[10:40] = bytes(30)
+    else:
+        packed[-8] ^= 1
+    with pytest.raises(CorpusParseError) as exc:
+        list(parse_dblp(io.BytesIO(bytes(packed))))
+    assert str(exc.value).startswith("damaged gzip data: ")
+    assert exc.value.byte_offset is not None
+
+
+_AUTHORS = st.lists(st.sampled_from(
+    ["Wei Li 0001", "Jane Roe", "Ren&eacute; M&#252;ller", "A &amp; B"]), max_size=3)
+
+
+@st.composite
+def dblp_documents(draw):
+    """A valid DBLP-shaped document and its record count."""
+    parts = [b'<?xml version="1.0"?>\n<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n']
+    n = draw(st.integers(0, 4))
+    for i in range(n):
+        authors = "".join(f"<author>{a}</author>" for a in draw(_AUTHORS))
+        parts.append(f'<article key="a/{i}">{authors}<title>t{i}</title></article>\n'.encode())
+    parts.append(b"</dblp>\n")
+    return b"".join(parts), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=dblp_documents(), gzipped=st.booleans(), data=st.data())
+def test_every_truncated_prefix_is_a_parse_error_with_offset(document, gzipped, data):
+    # a gzipped document cut anywhere, and a plain one cut before its
+    # root's closing tag ends, fail with a located CorpusParseError only
+    doc, n = document
+    if gzipped:
+        doc = gzip.compress(doc)
+        end = len(doc) - 1
+    else:
+        end = doc.rindex(b"</dblp>") + len("</dblp>") - 1
+    assert len(list(parse_dblp(io.BytesIO(doc)))) == n
+    prefix = doc[:data.draw(st.integers(0, end), label="prefix length")]
+    with pytest.raises(CorpusParseError) as exc:
+        for _ in parse_dblp(io.BytesIO(prefix)):
+            pass
+    assert exc.value.byte_offset is not None
 
 
 def _big_document(n_records):
