@@ -20,7 +20,7 @@ from .dblp_xml import parse_dblp
 from .errors import CorpusParseError, DataIntegrityError, NameclustError
 from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, write_gold
 from .graph import build_graph
-from .records import read_records, record_to_json, write_records
+from .records import read_records, read_utf8, record_to_json, write_records
 from .synth import SynthConfig, generate_corpus
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ class UsageError(NameclustError):
 def read_config(path) -> dict[str, str]:
     """Flat ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path, UsageError).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -305,8 +305,7 @@ def _report_scores(path, value, where):
 
 def cmd_report(args) -> int:
     path = args.report
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = json.loads(read_utf8(path, DataIntegrityError))
     keys = obj.keys() if isinstance(obj, dict) else ()
     if "thresholds" in keys:
         rows = []

@@ -3,6 +3,14 @@
 Used to split over-merged clusters of common names: edges carry weight
 2.0 for publications sharing a co-author and 1.0 for co-author-of-
 co-author links, and greedy modularity maximization regroups the block.
+
+The pipeline refines each block on dense integer ids from start to
+finish: a list-of-dict adjacency over the block's members, Louvain on
+that adjacency, and modularity read from Louvain's own state. Every
+weight is 1.0 or 2.0, so every sum is an exact integer in a float and
+comes out the same whatever the order of addition.
+``build_similarity_graph`` and ``louvain`` adapt the same core to
+string-node callers.
 """
 
 from __future__ import annotations
@@ -12,9 +20,9 @@ from dataclasses import dataclass
 from .cluster import Clustering, groups_to_clustering
 from .errors import UndefinedModularityError
 from .gold import Block
-from .graph import BipartiteGraph, pubs_within
+from .graph import BipartiteGraph
+from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
 
-ORDER_WEIGHTS = {1: 2.0, 2: 1.0}
 MAX_PASSES = 100  # cap on Louvain aggregation levels
 
 
@@ -34,24 +42,43 @@ class Partition:
     q: float | None = None
     passes: int = 0
 
-    def communities(self) -> list[set[str]]:
-        out: dict[int, set[str]] = {}
-        for node, cid in self.assignment.items():
-            out.setdefault(cid, set()).add(node)
-        return [out[cid] for cid in sorted(out)]
+
+def _similarity_adjacency(b: Block, g: BipartiteGraph):
+    """The block's members in ascending record id (and so publication
+    id) order, and their similarity adjacency over those local ids:
+    ``adj[i][j]`` is 2.0 when members i and j share a co-author other
+    than the block's own author node, 1.0 when they are co-author-of-
+    co-author linked at minimal order 2, and absent otherwise."""
+    nodes = sorted(b.members)
+    excluded = g.author_id(b.block_key)
+    pub_authors, author_pubs = g.pub_authors, g.author_pubs
+    local = {g.pub_id(rid): i for i, rid in enumerate(nodes)}
+    members = set(local)
+    adj: list[dict[int, float]] = []
+    for i, p in enumerate(local):
+        # order 1: publications of p's non-focal authors; order 2: those
+        # of the authors one publication further on, not yet seen
+        seen = set(pub_authors[p])
+        seen.discard(excluded)
+        near = set().union(*[author_pubs[a] for a in seen])
+        far = set().union(*[pub_authors[q] for q in near])
+        far -= seen
+        far.discard(excluded)
+        far_pubs = set().union(*[author_pubs[a] for a in far])
+        row = dict.fromkeys([local[q] for q in members & far_pubs], 1.0)
+        row.update(dict.fromkeys([local[q] for q in members & near], 2.0))
+        row.pop(i, None)
+        adj.append(row)
+    return nodes, adj
 
 
 def build_similarity_graph(b: Block, g: BipartiteGraph) -> WeightedPubGraph:
     """Edges between block members at co-author order 1 (weight 2.0) or
     minimal order 2 (weight 1.0); the block's own author node is excluded."""
-    nodes = tuple(sorted(b.members))
-    edges: dict[tuple[str, str], float] = {}
-    for p in nodes:
-        for q, order in pubs_within(g, p, 2, b.block_key).items():
-            if q <= p or q not in b.members:
-                continue
-            edges[(p, q)] = ORDER_WEIGHTS[order]
-    return WeightedPubGraph(nodes=nodes, edges=edges)
+    nodes, adj = _similarity_adjacency(b, g)
+    edges = {(nodes[i], nodes[j]): w
+             for i, row in enumerate(adj) for j, w in row.items() if j > i}
+    return WeightedPubGraph(nodes=tuple(nodes), edges=edges)
 
 
 def modularity(g: WeightedPubGraph, p: Partition, resolution: float = 1.0) -> float:
@@ -87,30 +114,30 @@ def _local_move(adj, k, total, resolution):
     n = len(adj)
     comm = list(range(n))
     sigma = list(k)  # total degree per community label
+    denom = 2.0 * total * total
     moved_any = False
     improved = True
     while improved:
         improved = False
         for i in range(n):
             c_old = comm[i]
-            sigma[c_old] -= k[i]
+            k_i = k[i]
+            rk = resolution * k_i
+            sigma[c_old] -= k_i
             weights: dict[int, float] = {}
             for j, w in adj[i].items():
                 cj = comm[j]
                 weights[cj] = weights.get(cj, 0.0) + w
             best_c = c_old
-            best_gain = (
-                weights.get(c_old, 0.0) / total
-                - resolution * k[i] * sigma[c_old] / (2.0 * total * total)
-            )
+            best_gain = weights.get(c_old, 0.0) / total - rk * sigma[c_old] / denom
             # (gain, -label) is a total order, so the visit order is free
             for c, w in weights.items():
-                gain = w / total - resolution * k[i] * sigma[c] / (2.0 * total * total)
+                gain = w / total - rk * sigma[c] / denom
                 if gain > best_gain or (gain == best_gain and c < best_c):
                     best_gain = gain
                     best_c = c
             comm[i] = best_c
-            sigma[best_c] += k[i]
+            sigma[best_c] += k_i
             if best_c != c_old:
                 improved = True
                 moved_any = True
@@ -138,44 +165,62 @@ def _aggregate(adj, self_w, comm):
     return new_adj, new_self
 
 
-def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
-    """Two-phase greedy modularity maximization, deterministic: nodes are
-    visited in sorted id order."""
+def _degrees(adj, self_w):
+    """Weighted degree of each node; a self weight counts twice."""
+    return [sum(adj[i].values()) + 2.0 * self_w[i] for i in range(len(adj))]
+
+
+def _louvain(adj, total, resolution):
+    """Two-phase greedy modularity maximization on a symmetric
+    list-of-dict adjacency of total edge weight ``total``.
+
+    Returns (labels, passes, q): each node's community, numbered densely
+    by the community's lowest node id, the number of aggregation levels,
+    and the partition's modularity (None when there are no edges). Q is
+    read from the final level, where a community is one supernode: its
+    internal weight is the supernode's self weight and its degree sum
+    the supernode's degree, so no pass over the edges is needed.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    nodes = list(g.nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    if not g.edges:
-        return Partition(assignment={u: i for i, u in enumerate(nodes)})
-
-    adj: list[dict[int, float]] = [dict() for _ in nodes]
-    for (u, v), w in g.edges.items():
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = adj[iu].get(iv, 0.0) + w
-        adj[iv][iu] = adj[iv].get(iu, 0.0) + w
-    self_w = [0.0] * len(nodes)
-    total = g.total_weight
-
-    node_to_super = list(range(len(nodes)))
+    n = len(adj)
+    if not total:
+        return list(range(n)), 0, None
+    self_w = [0.0] * n
+    k = _degrees(adj, self_w)
+    node_to_super = list(range(n))
     passes = 0
     while passes < MAX_PASSES:
-        k = [sum(adj[i].values()) + 2.0 * self_w[i] for i in range(len(adj))]
         comm, moved = _local_move(adj, k, total, resolution)
         if not moved:
             break
         passes += 1
         adj, self_w = _aggregate(adj, self_w, comm)
         node_to_super = [comm[s] for s in node_to_super]
+        k = _degrees(adj, self_w)
 
     # dense ids ordered by each community's lowest node id
     first_seen: dict[int, int] = {}
-    for i, s in enumerate(node_to_super):
+    for s in node_to_super:
         first_seen.setdefault(s, len(first_seen))
-    assignment = {nodes[i]: first_seen[node_to_super[i]]
-                  for i in range(len(nodes))}
-    part = Partition(assignment=assignment, passes=passes)
-    part.q = modularity(g, part, resolution)
-    return part
+    q = 0.0
+    for s in first_seen:  # dense-id order, as modularity sums
+        q += self_w[s] / total - resolution * (k[s] / (2.0 * total)) ** 2
+    return [first_seen[s] for s in node_to_super], passes, q
+
+
+def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
+    """Two-phase greedy modularity maximization, deterministic: nodes are
+    visited in sorted id order."""
+    nodes = list(g.nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    adj: list[dict[int, float]] = [dict() for _ in nodes]
+    for (u, v), w in g.edges.items():
+        iu, iv = index[u], index[v]
+        adj[iu][iv] = adj[iu].get(iv, 0.0) + w
+        adj[iv][iu] = adj[iv].get(iu, 0.0) + w
+    labels, passes, q = _louvain(adj, g.total_weight, resolution)
+    return Partition(assignment=dict(zip(nodes, labels)), q=q, passes=passes)
 
 
 def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
@@ -185,23 +230,39 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
     Returns (Clustering, report) where the report carries modularity
     before/after, pass count, and community count for the JSON export.
     """
-    wg = build_similarity_graph(b, g)
-    part = louvain(wg, resolution)
+    nodes, adj = _similarity_adjacency(b, g)
+    k = _degrees(adj, [0.0] * len(adj))
+    total = sum(k) / 2.0
+    labels, passes, q_after = _louvain(adj, total, resolution)
     q_before = None
-    if wg.edges:
-        base_part = Partition(assignment={
-            rid: i for i, cid in enumerate(sorted(base.clusters))
-            for rid in base.clusters[cid]
-        })
-        q_before = modularity(wg, base_part, resolution)
-    refined = groups_to_clustering(
-        b.block_key, part.communities(), comparisons=base.comparisons
-    )
+    if total:
+        # the base clusters numbered in cluster-id order; one pass over
+        # the edges for each cluster's internal weight and degree sum
+        index = {rid: i for i, rid in enumerate(nodes)}
+        cluster_of = [0] * len(nodes)
+        for c, cid in enumerate(sorted(base.clusters)):
+            for rid in base.clusters[cid]:
+                cluster_of[index[rid]] = c
+        w_in = [0.0] * len(base.clusters)
+        degree = [0.0] * len(base.clusters)
+        for i, row in enumerate(adj):
+            c = cluster_of[i]
+            degree[c] += k[i]
+            for j, w in row.items():
+                if j > i and cluster_of[j] == c:
+                    w_in[c] += w
+        q_before = 0.0
+        for c in range(len(base.clusters)):
+            q_before += w_in[c] / total - resolution * (degree[c] / (2.0 * total)) ** 2
+    groups: list[list[str]] = [[] for _ in range(max(labels) + 1)]
+    for rid, label in zip(nodes, labels):
+        groups[label].append(rid)
+    refined = groups_to_clustering(b.block_key, groups, comparisons=base.comparisons)
     report = {
         "block_key": b.block_key,
         "q_before": q_before,
-        "q_after": part.q,
-        "passes": part.passes,
+        "q_after": q_after,
+        "passes": passes,
         "communities": len(refined.clusters),
     }
     return refined, report

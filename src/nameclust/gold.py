@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DataIntegrityError
-from .records import gold_key
+from .records import gold_key, read_utf8
 
 
 @dataclass
@@ -108,10 +108,10 @@ def _is_author_map(authors) -> bool:
 
 
 def read_gold(path) -> GoldStandard:
-    """Read ``write_gold``'s format; a file of another shape raises
-    ``DataIntegrityError`` naming the first offending block."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read ``write_gold``'s format; a file that is not UTF-8 or of
+    another shape raises ``DataIntegrityError`` naming the file (and the
+    first offending block)."""
+    obj = json.loads(read_utf8(path, DataIntegrityError))
     if not isinstance(obj, dict):
         raise DataIntegrityError(f"{path}: gold file is not a JSON object of blocks")
     entries = {}

@@ -7,6 +7,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import CorpusParseError, MalformedMentionError
 
@@ -158,6 +159,16 @@ def write_records(records, path) -> int:
             fh.write("\n")
             n += 1
     return n
+
+
+def read_utf8(path, error) -> str:
+    """The whole file at ``path`` as text; bytes that are not UTF-8 raise
+    ``error`` with the path and the offset of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def read_records(path):

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to check the library.
 
 Everything here recomputes results from first principles and stays off
-the code paths under test: distances come from networkx BFS over an
-explicitly built node graph, BCubed from pairwise counting, and the
-best-modularity partition from exhaustive set-partition enumeration.
+the code paths under test: distances and similarity edges come from
+breadth-first search over an explicitly built networkx node graph,
+BCubed from pairwise counting, and the best-modularity partition from
+exhaustive set-partition enumeration.
 """
 
 from __future__ import annotations
@@ -77,6 +78,33 @@ def oracle_components(g, members, focal_author, threshold):
             frontier = nxt
     return sorted((frozenset(c) for c in nx.connected_components(sim)),
                   key=sorted)
+
+
+def oracle_similarity_edges(g, members, focal_author):
+    """Weighted similarity edges {(u, v): w} with u < v between members:
+    2.0 at co-author order 1 (a path of 2 edges), 1.0 at minimal order 2
+    (4 edges). Breadth-first search per member over a dict adjacency that
+    never enters the focal author's node."""
+    adj = {node: set(g[node]) for node in g}
+    forbidden = ("a", focal_author)
+    member_set = set(members)
+    weight = {2: 2.0, 4: 1.0}
+    edges = {}
+    for p in sorted(members):
+        dist = {("p", p): 0}
+        frontier = [("p", p)]
+        for d in range(1, 5):
+            nxt = []
+            for node in frontier:
+                for nb in adj[node]:
+                    if nb != forbidden and nb not in dist:
+                        dist[nb] = d
+                        nxt.append(nb)
+            frontier = nxt
+        for (kind, q), d in dist.items():
+            if kind == "p" and q in member_set and q > p:
+                edges[(p, q)] = weight[d]
+    return edges
 
 
 # -- BCubed ------------------------------------------------------------------

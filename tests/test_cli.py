@@ -441,6 +441,40 @@ def test_gold_of_wrong_shape_exits_2(tmp_path, synth_corpus, capsys, argv):
     assert "Traceback" not in err
 
 
+# a UTF-16 byte order mark: the first byte is no UTF-8 start byte
+NOT_UTF8 = "not UTF-8 text: invalid start byte at byte 0"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_not_utf8_exits_2(tmp_path, synth_corpus, capsys, argv):
+    records, gold = synth_corpus
+    gold.write_bytes(b"\xff\xfe" + gold.read_bytes())
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
+    assert capsys.readouterr().err == f"nameclust: data error: {gold}: {NOT_UTF8}\n"
+
+
+def test_report_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"before": 1}).encode())
+    assert run_cli("report", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"nameclust: data error: {path}: {NOT_UTF8}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names"]])
+def test_config_not_utf8_exits_1(tmp_path, capsys, argv):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_bytes(b"\xff\xfealpha = 0.5\n")
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--records", tmp_path / "none.jsonl",
+                   "--gold", tmp_path / "none.json", "--out-dir", out,
+                   "--config", cfg) == 1
+    assert capsys.readouterr().err == f"nameclust: error: {cfg}: {NOT_UTF8}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
 def test_duplicate_record_id_exits_2(tmp_path, synth_corpus, capsys, argv):
     records, gold = synth_corpus

@@ -6,6 +6,7 @@ import pytest
 import cases
 import oracles
 from conftest import rec
+from nameclust import community
 from nameclust.cluster import DisjointSet, cluster_block
 from nameclust.community import (
     Partition,
@@ -86,7 +87,64 @@ def test_similarity_graph_components_are_threshold_clusters():
     assert units > 800
 
 
+def test_similarity_graph_matches_bfs_oracle(fig1_records):
+    # exact edges and weights: a weight that lands on the wrong pair can
+    # leave the components, and so the test above, unchanged
+    rng = random.Random(1810)
+    corpora = [fig1_records] + [cases.shared_coauthor_corpus(rng) for _ in range(150)]
+    weights = []
+    for records in corpora:
+        graph = build_graph(records)
+        nxg = oracles.build_nx_graph(records)
+        for block in build_blocks(build_gold_standard(records)):
+            wg = build_similarity_graph(block, graph)
+            assert wg.nodes == tuple(sorted(block.members))
+            assert wg.edges == oracles.oracle_similarity_edges(
+                nxg, block.members, block.block_key), block.block_key
+            weights.extend(wg.edges.values())
+    assert weights.count(2.0) > 10_000 and weights.count(1.0) > 4_000
+
+
 # -- modularity --------------------------------------------------------------
+
+
+def _as_partition(c):
+    """A clustering as a partition numbered in cluster-id order."""
+    return Partition(assignment={rid: i for i, cid in enumerate(sorted(c.clusters))
+                                 for rid in c.clusters[cid]})
+
+
+def _check_q_exact(corpora):
+    """Refine every block at t=1 and t=3 and check both reported Qs
+    against ``modularity`` with ==; returns the Louvain pass counts."""
+    passes = []
+    for records in corpora:
+        graph = build_graph(records)
+        for block in build_blocks(build_gold_standard(records)):
+            wg = build_similarity_graph(block, graph)
+            for threshold in (1, 3):
+                base = cluster_block(block, graph, threshold)
+                refined, report = refine_with_report(block, base, graph)
+                if not wg.edges:
+                    assert report["q_before"] is report["q_after"] is None
+                    continue
+                assert report["q_before"] == modularity(wg, _as_partition(base))
+                assert report["q_after"] == modularity(wg, _as_partition(refined))
+                passes.append(report["passes"])
+    return passes
+
+
+def test_refinement_q_is_modularity_exactly(monkeypatch):
+    # every weight is 1.0 or 2.0, so every sum is an exact integer and Q
+    # read from Louvain's state is the very float the edge sum gives
+    rng = random.Random(2718)
+    corpora = [cases.shared_coauthor_corpus(rng) for _ in range(150)]
+    passes = _check_q_exact(corpora)
+    assert len(passes) > 800 and sum(p >= 2 for p in passes) > 150
+    # the same blocks with the level loop cut after one aggregation, so
+    # Q is read from a level on which nodes could still move
+    monkeypatch.setattr(community, "MAX_PASSES", 1)
+    assert max(_check_q_exact(corpora)) == 1
 
 
 def test_single_edge_together():
