@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -103,24 +105,48 @@ def _triple(s: BcubedScores) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
+def _fresh_file_beside(path, owned: contextlib.ExitStack) -> str:
+    """Create an empty file under a new name in ``path``'s directory, with
+    the mode ``open`` gives a new file, and return its name. ``owned``
+    removes it unless it has been moved away by then."""
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            # name the output asked for, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
+        owned.callback(Path(tmp).unlink, missing_ok=True)
+        return tmp
+
+
 def cmd_ingest(args) -> int:
     config = read_config(args.config) if args.config else {}
     min_gold = _setting(args, config, "min_gold_authors", 1, int)
     n_records = 0
-    with open(args.records_out, "w", encoding="utf-8") as fh:
+    # both files are written under temporary names and take their own
+    # only once the whole dump has parsed, so a data error leaves neither
+    with contextlib.ExitStack() as owned:
+        records_tmp = _fresh_file_beside(args.records_out, owned)
+        gold_tmp = _fresh_file_beside(args.gold_out, owned)
+        with open(records_tmp, "w", encoding="utf-8") as fh:
 
-        def written():
-            # each record goes to the JSONL file on its way to the gold
-            # standard; none is kept
-            nonlocal n_records
-            for rec in parse_dblp(args.input):
-                fh.write(record_to_json(rec))
-                fh.write("\n")
-                n_records += 1
-                yield rec
+            def written():
+                # each record goes to the JSONL file on its way to the gold
+                # standard; none is kept
+                nonlocal n_records
+                for rec in parse_dblp(args.input):
+                    fh.write(record_to_json(rec) + "\n")
+                    n_records += 1
+                    yield rec
 
-        gold = build_gold_standard(written(), min_gold_authors=min_gold)
-    write_gold(gold, args.gold_out)
+            gold = build_gold_standard(written(), min_gold_authors=min_gold)
+        write_gold(gold, gold_tmp)
+        os.replace(records_tmp, args.records_out)
+        os.replace(gold_tmp, args.gold_out)
     n_authors = gold.author_count
     print(f"ingest: {n_records} records, {len(gold.entries)} gold blocks, "
           f"{n_authors} gold authors")
@@ -179,8 +205,6 @@ def cmd_run(args) -> int:
     workers = _setting(args, config, "workers", 1, int)
     _check_settings(thresholds, alpha, sample_count=sample_count)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = build_blocks(gold)
@@ -192,6 +216,9 @@ def cmd_run(args) -> int:
                 f"sample count {sample_count} exceeds {len(blocks)} available blocks")
         blocks = sample_blocks(blocks, sample_count, seed)
     _check_blocks_in_graph(blocks, graph)
+    # made only once the inputs have passed, so a data error leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     blocks_by_key = {b.block_key: b for b in blocks}
 
     comparisons = count_comparisons(blocks)
@@ -233,12 +260,13 @@ def cmd_common_names(args) -> int:
     workers = _setting(args, config, "workers", 1, int)
     _check_settings([threshold], alpha, resolution)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
     blocks = [b for b in build_blocks(gold) if b.m > min_block_size]
     _check_blocks_in_graph(blocks, graph)
+    # made only once the inputs have passed, so a data error leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = {
         "threshold": threshold,

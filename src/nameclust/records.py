@@ -69,6 +69,11 @@ def gold_key(mention: AuthorMention) -> str:
     return f"{mention.surface_name} {mention.gold_id}"
 
 
+# the encoder json.dumps(obj, ensure_ascii=False, sort_keys=True) would
+# build on every call
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def record_to_json(rec: RawRecord) -> str:
     obj = {
         "id": rec.record_id,
@@ -80,7 +85,7 @@ def record_to_json(rec: RawRecord) -> str:
             {"name": m.surface_name, "gold_id": m.gold_id} for m in rec.mentions
         ],
     }
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return _ENCODER.encode(obj)
 
 
 # key -> the types json.loads gives that key in a well-formed line
@@ -98,6 +103,7 @@ _AUTHOR_FIELDS = {"name": (str,), "gold_id": (str, type(None))}
 _record_fields = operator.itemgetter(*_RECORD_FIELDS)
 _RECORD_TYPES = frozenset(itertools.product(*_RECORD_FIELDS.values()))
 _author_key = operator.itemgetter(*_AUTHOR_FIELDS)
+_AUTHOR_TYPES = frozenset(itertools.product(*_AUTHOR_FIELDS.values()))
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
                float: "number", bool: "boolean", type(None): "null"}
@@ -135,8 +141,13 @@ def _decode(obj, shared) -> RawRecord:
         try:
             m = shared[_author_key(a)]
         except (KeyError, TypeError):
-            _require(a, _AUTHOR_FIELDS, "author")
-            name, gold_id = _author_key(a)
+            # first sight of this mention, or a malformed author
+            try:
+                name, gold_id = _author_key(a)
+            except (KeyError, TypeError):
+                name = gold_id = None
+            if (type(name), type(gold_id)) not in _AUTHOR_TYPES:
+                _require(a, _AUTHOR_FIELDS, "author")
             raw = name if gold_id is None else f"{name} {gold_id}"
             m = shared[name, gold_id] = AuthorMention(
                 surface_name=name, gold_id=gold_id, raw=raw)

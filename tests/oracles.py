@@ -3,16 +3,21 @@
 Everything here recomputes results from first principles and stays off
 the code paths under test: distances and similarity edges come from
 breadth-first search over an explicitly built networkx node graph,
-BCubed from pairwise counting, and the best-modularity partition from
-exhaustive set-partition enumeration.
+BCubed from pairwise counting, the best-modularity partition from
+exhaustive set-partition enumeration, and DBLP records from an element
+tree of the whole document.
 """
 
 from __future__ import annotations
 
+import html.entities
 import itertools
 import math
+import xml.etree.ElementTree as ET
 
 import networkx as nx
+
+from nameclust.records import RawRecord, parse_mention
 
 
 # -- bipartite distances -----------------------------------------------------
@@ -227,3 +232,44 @@ def partition_from_labels(assignment):
     for item, lab in assignment.items():
         groups.setdefault(lab, set()).add(item)
     return sorted((frozenset(g) for g in groups.values()), key=sorted)
+
+
+# -- DBLP XML -----------------------------------------------------------------
+
+
+def oracle_dblp_records(doc: bytes) -> list[RawRecord]:
+    """The records of a whole DBLP document, read from its element tree.
+
+    Each child of the root with a ``key`` is a publication; each of its
+    children is a field whose text is all character data inside it,
+    stripped. Its last title, last non-empty journal or booktitle and
+    last non-empty year count; a year that is not an integer is none.
+    """
+    parser = ET.XMLParser()
+    parser.entity.update((name[:-1], value) for name, value
+                         in html.entities.html5.items() if name.endswith(";"))
+    root = ET.fromstring(doc, parser=parser)
+    kinds = {"article", "inproceedings", "proceedings", "book", "incollection",
+             "phdthesis", "mastersthesis", "www"}
+    records = []
+    for pub in root:
+        if pub.get("key") is None:
+            continue
+        title, venue, year, mentions = "", None, None, []
+        for child in pub:
+            text = "".join(child.itertext()).strip()
+            if child.tag == "author" and text:
+                mentions.append(parse_mention(text))
+            elif child.tag == "title":
+                title = text
+            elif child.tag in ("journal", "booktitle") and text:
+                venue = text
+            elif child.tag == "year" and text:
+                try:
+                    year = int(text)
+                except ValueError:
+                    year = None
+        records.append(RawRecord(
+            record_id=pub.get("key"), kind=pub.tag if pub.tag in kinds else "other",
+            title=title, venue=venue, year=year, mentions=tuple(mentions)))
+    return records

@@ -81,6 +81,53 @@ def test_ingest_truncated_gzip_exits_2_with_offset(tmp_path, monkeypatch, capsys
     assert "(byte~" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_ingest_data_error_leaves_no_partial_output(tmp_path, capsys, existing):
+    xml = tmp_path / "bad.xml"
+    xml.write_bytes(b'<dblp><article key="a/1"><author>A</author><title>t</title>'
+                    b'</article><article key="a/2"><author>B</artic')
+    out = tmp_path / "out"
+    out.mkdir()
+    records, gold = out / "records.jsonl", out / "gold.json"
+    if existing:
+        records.write_text("earlier records\n")
+        gold.write_text("{}\n")
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", gold) == 2
+    assert "data error: unclosed token" in capsys.readouterr().err
+    # no temporary file is left, and what was there before stays as it was
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == ["gold.json", "records.jsonl"]
+        assert records.read_text() == "earlier records\n" and gold.read_text() == "{}\n"
+    else:
+        assert list(out.iterdir()) == []
+
+
+def test_ingest_into_missing_directory_names_the_output(tmp_path, capsys):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(MINIMAL_XML)
+    records = tmp_path / "none" / "records.jsonl"
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", tmp_path / "gold.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"nameclust: data error: [Errno 2] No such file or directory: '{records}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.xml"]
+
+
+def test_ingest_replaces_existing_outputs(tmp_path, capsys):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(MINIMAL_XML)
+    records, gold = tmp_path / "records.jsonl", tmp_path / "gold.json"
+    records.write_text("earlier records\n" * 10)
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", gold) == 0
+    assert len(records.read_text().splitlines()) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dump.xml", "gold.json", "records.jsonl"]
+    # the outputs get the mode any new file gets, as the input did
+    assert {records.stat().st_mode, gold.stat().st_mode} == {xml.stat().st_mode}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--bridge-rate", 1.5], "bridge rate must be in [0, 1], got 1.5"),
     (["--pubs-min", 3, "--pubs-max", 1], "publications per author must satisfy"),
@@ -487,3 +534,40 @@ def test_duplicate_record_id_exits_2(tmp_path, synth_corpus, capsys, argv):
     assert run_cli(argv[0], "--records", records, "--gold", gold,
                    "--out-dir", tmp_path / "o", *argv[1:]) == 2
     assert f"record id {first['id']!r} occurs twice" in capsys.readouterr().err
+
+
+def _damage_gold_encoding(records, gold):
+    gold.write_bytes(b"\xff\xfe" + gold.read_bytes())
+
+
+def _damage_record_line(records, gold):
+    lines = records.read_text().splitlines()
+    lines[1] = "{"
+    records.write_text("\n".join(lines) + "\n")
+
+
+def _damage_gold_record(records, gold):
+    gold_obj = json.loads(gold.read_text())
+    next(iter(next(iter(gold_obj.values())).values())).append("zz/missing")
+    gold.write_text(json.dumps(gold_obj))
+
+
+@pytest.mark.parametrize("damage", [_damage_gold_encoding, _damage_record_line,
+                                    _damage_gold_record])
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_data_error_creates_no_out_dir(tmp_path, synth_corpus, capsys, argv, damage):
+    records, gold = synth_corpus
+    damage(records, gold)
+    out = tmp_path / "o" / "nested"
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", out, *argv[1:]) == 2
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_sample_too_large_creates_no_out_dir(tmp_path, synth_corpus, capsys):
+    records, gold = synth_corpus
+    out = tmp_path / "o"
+    assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", out,
+                   "--sample-count", 10_000) == 1
+    assert not out.exists()

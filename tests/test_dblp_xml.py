@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nameclust.dblp_xml import parse_dblp
 from nameclust.errors import CorpusParseError
 
@@ -189,3 +190,69 @@ def test_streaming_memory_bounded():
     tracemalloc.stop()
     assert count == 100_000
     assert peak < len(doc) / 4, f"peak {peak} vs document {len(doc)}"
+
+
+# pieces of field text: markup, entities, CDATA and comments inside a field
+_PIECES = st.sampled_from([
+    "Wei", " Li", "  ", "\n", "&eacute;", "&#252;", "&amp;", "&lt;b&gt;", "<i>it</i>",
+    "<sub>2<b>x</b></sub>", "<![CDATA[a<b&c]]>", "<!-- note -->"])
+_TEXT = st.lists(_PIECES, max_size=5).map("".join)
+_FIELDS = {
+    "author": st.one_of(_TEXT, st.sampled_from(
+        ["Wei Li 0001", "Jane Roe", "", "   ", "\n\t", "Ren&eacute; M&#252;ller 0002"])),
+    # an author inside a title is no mention; a long title straddles reads
+    "title": st.tuples(_TEXT, st.sampled_from(["", "<author>Nested Name</author>"]),
+                       st.integers(0, 9000)).map(lambda t: t[0] + t[1] + "p" * t[2]),
+    "journal": _TEXT,
+    "booktitle": _TEXT,
+    "year": st.sampled_from(["2015", " 1999\n", "", "20x5", "&#50;001", "MMXV"]),
+    "pages": _TEXT,
+    "ee": _TEXT,
+}
+
+
+@st.composite
+def dblp_publications(draw, i):
+    tag = draw(st.sampled_from(["article", "inproceedings", "www", "proceedings", "widget"]))
+    key = draw(st.sampled_from([f' key="a/{i}"', f' mdate="2015" key="r&amp;d/{i}"', ""]))
+    fields = draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=6))
+    body = "".join(f"<{f}>{draw(_FIELDS[f])}</{f}>" + draw(st.sampled_from(["", "\n", "x"]))
+                   for f in fields)
+    return f"<{tag}{key}>{body}</{tag}>\n"
+
+
+@st.composite
+def mixed_documents(draw):
+    head = '<?xml version="1.0"?>\n<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n'
+    body = "".join(draw(dblp_publications(i)) for i in range(draw(st.integers(0, 8))))
+    if draw(st.booleans()):
+        # blank space before the publications puts the end of the first
+        # 16 KiB read at a drawn point among them
+        cut = draw(st.integers(0, len(body)))
+        head += " " * (16 * 1024 - len(head) - cut)
+    return (head + body + "</dblp>\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mixed_documents(), gzipped=st.booleans())
+def test_records_equal_the_element_tree_oracle(doc, gzipped):
+    want = oracles.oracle_dblp_records(doc)
+    source = gzip.compress(doc) if gzipped else doc
+    assert list(parse_dblp(io.BytesIO(source))) == want
+
+
+@pytest.mark.parametrize("tail", [
+    b'<article key="a/x"><author>B</artic',  # found when the input ends
+    b'<article key="a/x"><author>B</title></article><article key="a/y"/></dblp>',
+])
+def test_records_before_a_parse_error_are_yielded_first(tail):
+    # 600 records span three 16 KiB reads; the error falls in the last
+    good = [f'<article key="a/{i}"><author>A {i}</author><title>t</title></article>\n'
+            for i in range(600)]
+    doc = ("<dblp>\n" + "".join(good)).encode() + tail
+    assert len(doc) > 2 * 16 * 1024
+    ids = []
+    with pytest.raises(CorpusParseError):
+        for rec in parse_dblp(io.BytesIO(doc)):
+            ids.append(rec.record_id)
+    assert ids == [f"a/{i}" for i in range(600)]
