@@ -68,7 +68,7 @@ def _setting(args, config, name, default, cast):
     return default
 
 
-def _check_settings(thresholds, alpha, resolution=1.0, sample_count=None) -> None:
+def _check_settings(thresholds, alpha, workers, resolution=1.0, sample_count=None) -> None:
     """Reject a bad ``run`` or ``common-names`` setting, from a flag or
     from ``--config``, before any input is read. The sample count's upper
     bound, the number of blocks, is checked once the gold file is read."""
@@ -81,6 +81,8 @@ def _check_settings(thresholds, alpha, resolution=1.0, sample_count=None) -> Non
         raise UsageError(f"resolution must be positive and finite, got {resolution}")
     if sample_count is not None and sample_count < 1:
         raise UsageError(f"sample count must be >= 1, got {sample_count}")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
 
 
 def _per_block(fn, blocks, workers) -> list:
@@ -203,7 +205,7 @@ def cmd_run(args) -> int:
     seed = _setting(args, config, "seed", 0, int)
     alpha = _setting(args, config, "alpha", 0.5, float)
     workers = _setting(args, config, "workers", 1, int)
-    _check_settings(thresholds, alpha, sample_count=sample_count)
+    _check_settings(thresholds, alpha, workers, sample_count=sample_count)
 
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)
@@ -258,7 +260,7 @@ def cmd_common_names(args) -> int:
     alpha = _setting(args, config, "alpha", 0.5, float)
     resolution = _setting(args, config, "resolution", 1.0, float)
     workers = _setting(args, config, "workers", 1, int)
-    _check_settings([threshold], alpha, resolution)
+    _check_settings([threshold], alpha, workers, resolution)
 
     graph = build_graph(read_records(args.records))
     gold = read_gold(args.gold)

@@ -6,9 +6,20 @@ co-author links, and greedy modularity maximization regroups the block.
 
 The pipeline refines each block on dense integer ids from start to
 finish: a list-of-dict adjacency over the block's members, Louvain on
-that adjacency, and modularity read from Louvain's own state. Every
-weight is 1.0 or 2.0, so every sum is an exact integer in a float and
-comes out the same whatever the order of addition.
+that adjacency, and modularity read from Louvain's own state. Work
+whose answer is already known is not redone. The adjacency expands
+each author once per block, not once per member that has the author.
+After its first sweep, a level of Louvain keeps each node's weight to
+each neighbouring community current as nodes move, instead of
+rescanning every neighbour at every visit.
+
+Every edge weight is a positive integer held in a float (1.0 or 2.0
+from the similarity graph). Every sum and difference of such weights is
+then an exact integer, while the total stays below 2**53, so it comes
+out the same whatever the order of additions and subtractions. That
+exactness is why the kept-current weights give the very floats a rescan
+gives, and so the same candidates, gains and moves. ``louvain`` rejects
+any other weight with ``ValueError``.
 ``build_similarity_graph`` and ``louvain`` adapt the same core to
 string-node callers.
 """
@@ -48,25 +59,37 @@ def _similarity_adjacency(b: Block, g: BipartiteGraph):
     id) order, and their similarity adjacency over those local ids:
     ``adj[i][j]`` is 2.0 when members i and j share a co-author other
     than the block's own author node, 1.0 when they are co-author-of-
-    co-author linked at minimal order 2, and absent otherwise."""
+    co-author linked at minimal order 2, and absent otherwise.
+
+    Each author a met is expanded once: ``near[a]`` holds the members
+    among a's publications, ``far[a]`` the union of ``near`` over a's
+    co-authors other than the block's own author. A member's weight-2
+    set is the union of ``near`` over its non-focal authors, its weight-1
+    set the union of ``far`` over them less the weight-2 set; whatever
+    one of its own authors reaches is already in the weight-2 set."""
     nodes = sorted(b.members)
     excluded = g.author_id(b.block_key)
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
     local = {g.pub_id(rid): i for i, rid in enumerate(nodes)}
-    members = set(local)
+    near: dict[int, set[int]] = {}
+    far: dict[int, set[int]] = {}
     adj: list[dict[int, float]] = []
     for i, p in enumerate(local):
-        # order 1: publications of p's non-focal authors; order 2: those
-        # of the authors one publication further on, not yet seen
-        seen = set(pub_authors[p])
-        seen.discard(excluded)
-        near = set().union(*[author_pubs[a] for a in seen])
-        far = set().union(*[pub_authors[q] for q in near])
-        far -= seen
-        far.discard(excluded)
-        far_pubs = set().union(*[author_pubs[a] for a in far])
-        row = dict.fromkeys([local[q] for q in members & far_pubs], 1.0)
-        row.update(dict.fromkeys([local[q] for q in members & near], 2.0))
+        authors = [a for a in pub_authors[p] if a != excluded]
+        for a in authors:
+            if a in far:
+                continue
+            coauthors = set().union(*[pub_authors[q] for q in author_pubs[a]])
+            coauthors.discard(excluded)
+            for c in coauthors:
+                if c not in near:
+                    near[c] = {local[q] for q in author_pubs[c] if q in local}
+            far[a] = set().union(*[near[c] for c in coauthors])
+        strong = set().union(*[near[a] for a in authors])
+        weak = set().union(*[far[a] for a in authors])
+        weak -= strong
+        row = dict.fromkeys(weak, 1.0)
+        row.update(dict.fromkeys(strong, 2.0))
         row.pop(i, None)
         adj.append(row)
     return nodes, adj
@@ -104,18 +127,36 @@ def modularity(g: WeightedPubGraph, p: Partition, resolution: float = 1.0) -> fl
     return q
 
 
+def _community_weights(row, comm):
+    """{community: total weight of the edges in ``row`` into it}."""
+    weights: dict[int, float] = {}
+    for j, w in row.items():
+        cj = comm[j]
+        weights[cj] = weights.get(cj, 0.0) + w
+    return weights
+
+
 def _local_move(adj, k, total, resolution):
     """One level of greedy node moves; returns (communities, moved_any).
 
     Nodes are swept in ascending id order; a node joins the neighboring
     community with the largest positive gain, ties to the lowest label.
     The communities come back numbered 0..c-1 in ascending label order.
+
+    The first sweep, in which nearly every node moves, sums each node's
+    weight per neighbouring community at its visit. If it moved a node,
+    ``links[i]`` (that map for node i) is built once for every node and
+    from then on kept current: a move from ``c_old`` to ``c_new`` shifts
+    the node's edge weight from ``c_old`` to ``c_new`` in each
+    neighbour's map, dropping an entry that reaches 0. With integer
+    weights each entry is the float a rescan would sum.
     """
     n = len(adj)
     comm = list(range(n))
     sigma = list(k)  # total degree per community label
     denom = 2.0 * total * total
     moved_any = False
+    links = None
     improved = True
     while improved:
         improved = False
@@ -124,10 +165,7 @@ def _local_move(adj, k, total, resolution):
             k_i = k[i]
             rk = resolution * k_i
             sigma[c_old] -= k_i
-            weights: dict[int, float] = {}
-            for j, w in adj[i].items():
-                cj = comm[j]
-                weights[cj] = weights.get(cj, 0.0) + w
+            weights = _community_weights(adj[i], comm) if links is None else links[i]
             best_c = c_old
             best_gain = weights.get(c_old, 0.0) / total - rk * sigma[c_old] / denom
             # (gain, -label) is a total order, so the visit order is free
@@ -141,6 +179,17 @@ def _local_move(adj, k, total, resolution):
             if best_c != c_old:
                 improved = True
                 moved_any = True
+                if links is not None:
+                    for j, w in adj[i].items():
+                        lj = links[j]
+                        left = lj[c_old] - w
+                        if left:
+                            lj[c_old] = left
+                        else:
+                            del lj[c_old]
+                        lj[best_c] = lj.get(best_c, 0.0) + w
+        if improved and links is None:
+            links = [_community_weights(row, comm) for row in adj]
     dense = {c: d for d, c in enumerate(sorted(set(comm)))}
     return [dense[c] for c in comm], moved_any
 
@@ -211,7 +260,12 @@ def _louvain(adj, total, resolution):
 
 def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
     """Two-phase greedy modularity maximization, deterministic: nodes are
-    visited in sorted id order."""
+    visited in sorted id order. Every edge weight must be a positive
+    integer (see the module docstring); any other raises ``ValueError``."""
+    for (u, v), w in g.edges.items():
+        if not (w > 0 and float(w).is_integer()):
+            raise ValueError(
+                f"edge ({u!r}, {v!r}) has weight {w!r}; weights must be positive integers")
     nodes = list(g.nodes)
     index = {u: i for i, u in enumerate(nodes)}
     adj: list[dict[int, float]] = [dict() for _ in nodes]

@@ -4,8 +4,9 @@ Everything here recomputes results from first principles and stays off
 the code paths under test: distances and similarity edges come from
 breadth-first search over an explicitly built networkx node graph,
 BCubed from pairwise counting, the best-modularity partition from
-exhaustive set-partition enumeration, and DBLP records from an element
-tree of the whole document.
+exhaustive set-partition enumeration, Louvain from neighbour weights
+summed afresh at every visit, and DBLP records from an element tree of
+the whole document.
 """
 
 from __future__ import annotations
@@ -232,6 +233,94 @@ def partition_from_labels(assignment):
     for item, lab in assignment.items():
         groups.setdefault(lab, set()).add(item)
     return sorted((frozenset(g) for g in groups.values()), key=sorted)
+
+
+# -- Louvain -----------------------------------------------------------------
+
+
+def _oracle_local_move(adj, k, total, resolution):
+    """One level of greedy moves, each node's weight to every neighbouring
+    community summed afresh from its edges at every visit."""
+    n = len(adj)
+    comm = list(range(n))
+    sigma = list(k)
+    moved = False
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            c_old = comm[i]
+            sigma[c_old] -= k[i]
+            weights = {}
+            for j, w in adj[i].items():
+                weights[comm[j]] = weights.get(comm[j], 0.0) + w
+
+            def gain(c):
+                return (weights.get(c, 0.0) / total
+                        - resolution * k[i] * sigma[c] / (2.0 * total * total))
+
+            # the largest gain, ties to the lowest label
+            best = max([c_old, *weights], key=lambda c: (gain(c), -c))
+            comm[i] = best
+            sigma[best] += k[i]
+            if best != c_old:
+                improved = moved = True
+    dense = {c: d for d, c in enumerate(sorted(set(comm)))}
+    return [dense[c] for c in comm], moved
+
+
+def oracle_louvain(nodes, edges, resolution=1.0, max_passes=100):
+    """Two-phase Louvain by definition. Nodes are swept in id order and
+    join the neighbouring community of largest positive gain, ties to the
+    lowest label; each level's communities, numbered in ascending label
+    order, become the next level's nodes, keeping their internal weight
+    as a self weight. Returns ({node: label}, passes, q): labels numbered
+    by each community's lowest node, the number of aggregation levels,
+    and Q summed over the original edges community by community in label
+    order (None without edges)."""
+    index = {u: i for i, u in enumerate(nodes)}
+    adj = [{} for _ in nodes]
+    for (u, v), w in edges.items():
+        iu, iv = index[u], index[v]
+        adj[iu][iv] = adj[iv][iu] = adj[iu].get(iv, 0.0) + w
+    total = sum(edges.values())
+    if not total:
+        return {u: i for i, u in enumerate(nodes)}, 0, None
+    self_w = [0.0] * len(nodes)
+    super_of = list(range(len(nodes)))
+    passes = 0
+    while passes < max_passes:
+        k = [sum(row.values()) + 2.0 * s for row, s in zip(adj, self_w)]
+        comm, moved = _oracle_local_move(adj, k, total, resolution)
+        if not moved:
+            break
+        passes += 1
+        new_adj = [{} for _ in range(max(comm) + 1)]
+        new_self = [0.0] * len(new_adj)
+        for i, row in enumerate(adj):
+            new_self[comm[i]] += self_w[i]
+            for j, w in row.items():
+                if comm[i] == comm[j]:
+                    new_self[comm[i]] += w / 2.0  # each edge seen from both ends
+                else:
+                    new_adj[comm[i]][comm[j]] = new_adj[comm[i]].get(comm[j], 0.0) + w
+        adj, self_w = new_adj, new_self
+        super_of = [comm[s] for s in super_of]
+    first_seen = {}
+    for s in super_of:
+        first_seen.setdefault(s, len(first_seen))
+    labels = {u: first_seen[super_of[i]] for i, u in enumerate(nodes)}
+    w_in = [0.0] * len(first_seen)
+    degree = [0.0] * len(first_seen)
+    for (u, v), w in edges.items():
+        degree[labels[u]] += w
+        degree[labels[v]] += w
+        if labels[u] == labels[v]:
+            w_in[labels[u]] += w
+    q = 0.0
+    for c in range(len(first_seen)):
+        q += w_in[c] / total - resolution * (degree[c] / (2.0 * total)) ** 2
+    return labels, passes, q
 
 
 # -- DBLP XML -----------------------------------------------------------------

@@ -447,6 +447,10 @@ def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, ca
     (["common-names"], "threshold = 4\n", "threshold must be odd"),
     (["common-names"], "resolution = -1\n", "resolution must be positive"),
     (["run"], "alpha = half\n", "--config: bad value 'half' for alpha"),
+    (["run", "--workers", 0], None, "workers must be >= 1, got 0"),
+    (["common-names", "--workers", -2], None, "workers must be >= 1, got -2"),
+    (["run"], "workers = -2\n", "workers must be >= 1, got -2"),
+    (["common-names"], "workers = 0\n", "workers must be >= 1, got 0"),
 ])
 def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config,
                                                   message):

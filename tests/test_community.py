@@ -373,3 +373,57 @@ def test_report_fields():
     assert report["q_after"] > report["q_before"]
     assert report["passes"] >= 1
     assert report["communities"] == len(refined.clusters)
+
+
+# -- louvain against the definitional oracle ----------------------------------
+
+
+def _louvain_matches_oracle(g):
+    """Check ``louvain(g)`` against the oracle with ==; returns the
+    oracle's (labels, passes, q)."""
+    want = oracles.oracle_louvain(g.nodes, g.edges)
+    part = louvain(g)
+    assert (part.assignment, part.passes, part.q) == want
+    return want
+
+
+def test_louvain_matches_definitional_oracle_on_random_graphs():
+    # sparse graphs of up to 60 nodes, most of which take two or more
+    # levels, so moves after the first sweep and on aggregated levels are
+    # both exercised
+    rng = random.Random(4471)
+    passes = []
+    for _ in range(300):
+        n = rng.randint(2, 60)
+        density = rng.uniform(1.0, 6.0) / n
+        nodes = [f"n{i:02d}" for i in range(n)]
+        edges = {(u, v): rng.choice([1.0, 2.0])
+                 for u, v in itertools.combinations(nodes, 2) if rng.random() < density}
+        passes.append(_louvain_matches_oracle(wgraph(nodes, edges))[1])
+    assert sum(p >= 2 for p in passes) > 150 and sum(p >= 3 for p in passes) > 10
+
+
+def test_refinement_matches_definitional_louvain():
+    rng = random.Random(5081)
+    units = 0
+    for _ in range(150):
+        records = cases.shared_coauthor_corpus(rng)
+        graph = build_graph(records)
+        for block in build_blocks(build_gold_standard(records)):
+            labels, passes, q = _louvain_matches_oracle(build_similarity_graph(block, graph))
+            for threshold in (1, 3):
+                base = cluster_block(block, graph, threshold)
+                refined, report = refine_with_report(block, base, graph)
+                assert oracles.partition_from_labels(refined.assignment) == \
+                    oracles.partition_from_labels(labels)
+                assert report["passes"] == passes
+                assert report["q_after"] == q
+                units += 1
+    assert units > 800
+
+
+@pytest.mark.parametrize("weight", [0.5, 0, -1.0])
+def test_louvain_rejects_weight_that_is_not_a_positive_integer(weight):
+    g = wgraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): weight})
+    with pytest.raises(ValueError, match="positive integers"):
+        louvain(g)
