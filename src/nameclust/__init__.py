@@ -14,7 +14,7 @@ from .community import (
 )
 from .dblp_xml import parse_dblp
 from .gold import Block, GoldStandard, build_blocks, build_gold_standard, sample_blocks
-from .graph import INFINITE, BipartiteGraph, build_graph, pub_distance, pubs_within
+from .graph import INFINITE, BipartiteGraph, build_graph, load_graph, pub_distance, pubs_within
 from .records import AuthorMention, RawRecord, parse_mention
 from .synth import SynthConfig, generate_corpus
 
@@ -41,6 +41,7 @@ __all__ = [
     "count_comparisons",
     "generate_corpus",
     "item_scores",
+    "load_graph",
     "louvain",
     "modularity",
     "parse_dblp",

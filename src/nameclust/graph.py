@@ -1,7 +1,7 @@
 """Bipartite author-publication network with bounded distance queries.
 
 The graph is immutable after construction. Adjacency is two lists of
-sorted id lists over dense integer ids; publication ids follow sorted
+sorted id tuples over dense integer ids; publication ids follow sorted
 record_id order and author ids follow sorted name order, so traversal
 order (and every downstream tie-break) is deterministic.
 """
@@ -11,24 +11,22 @@ from __future__ import annotations
 import math
 
 from .errors import DataIntegrityError, UnknownNodeError
+from .records import read_lines
 
 INFINITE = math.inf
 
 
 class BipartiteGraph:
-    def __init__(self, pubs: dict[str, set[str]]):
-        """``pubs`` maps each publication's record id to its author names."""
-        self.pub_keys = sorted(pubs)
-        self.author_names = sorted(set().union(*pubs.values()))
-        self.pub_index = {k: i for i, k in enumerate(self.pub_keys)}
-        self.author_index = index = {a: i for i, a in enumerate(self.author_names)}
+    def __init__(self, pub_keys, pub_index, pub_authors, author_names, author_index,
+                 author_pubs):
+        self.pub_keys: list[str] = pub_keys
+        self.pub_index: dict[str, int] = pub_index
+        self.author_names: list[str] = author_names
+        self.author_index: dict[str, int] = author_index
         # pub_authors[p]: author ids of publication p; author_pubs[a]:
-        # publication ids of author a; both ascending
-        self.pub_authors = [sorted([index[a] for a in pubs[k]]) for k in self.pub_keys]
-        self.author_pubs: list[list[int]] = [[] for _ in self.author_names]
-        for p, authors in enumerate(self.pub_authors):
-            for a in authors:
-                self.author_pubs[a].append(p)
+        # publication ids of author a; both ascending tuples
+        self.pub_authors: list[tuple[int, ...]] = pub_authors
+        self.author_pubs: list[tuple[int, ...]] = author_pubs
 
     # -- structure ---------------------------------------------------------
 
@@ -56,6 +54,43 @@ class BipartiteGraph:
             raise UnknownNodeError(f"unknown author {name!r}") from None
 
 
+def _assemble(rows, names: dict[str, int]) -> BipartiteGraph:
+    """The graph of ``rows``, pairs of a record id and the ids its author
+    names have in ``names``, which maps every name to a dense id in the
+    order it was first seen.
+
+    Rows are consumed once. Two rows with one id raise
+    ``DataIntegrityError`` when the second is reached. ``names`` becomes
+    the graph's author index.
+    """
+    first = {}  # record id -> its row's position in ``rows``
+    stream = []
+    for record_id, ids in rows:
+        if first.setdefault(record_id, len(stream)) != len(stream):
+            raise DataIntegrityError(
+                f"record id {record_id!r} occurs twice in the records")
+        stream.append(ids)
+    author_names = sorted(names)
+    rank = [0] * len(author_names)  # first-seen id -> sorted-name id
+    for a, name in enumerate(author_names):
+        rank[names[name]] = a
+        names[name] = a
+    pub_keys = sorted(first)
+    pub_authors = []
+    for p, record_id in enumerate(pub_keys):
+        # a set: a name may occur twice in one record, or with and
+        # without a gold id
+        pub_authors.append(tuple(sorted({rank[i] for i in stream[first[record_id]]})))
+        first[record_id] = p  # ``first`` becomes the publication index
+    del stream
+    author_pubs = [[] for _ in author_names]
+    for p, authors in enumerate(pub_authors):
+        for a in authors:
+            author_pubs[a].append(p)
+    return BipartiteGraph(pub_keys, first, pub_authors, author_names, names,
+                          list(map(tuple, author_pubs)))
+
+
 def build_graph(records) -> BipartiteGraph:
     """One author node per surface name, one pub node per authored record.
 
@@ -65,14 +100,26 @@ def build_graph(records) -> BipartiteGraph:
     single edge. Two authored records with one id raise
     ``DataIntegrityError``.
     """
-    pubs = {}
-    for rec in records:
-        if rec.mentions:
-            if rec.record_id in pubs:
-                raise DataIntegrityError(
-                    f"record id {rec.record_id!r} occurs twice in the records")
-            pubs[rec.record_id] = {m.surface_name for m in rec.mentions}
-    return BipartiteGraph(pubs)
+    names: dict[str, int] = {}
+    rows = ((rec.record_id, [names.setdefault(m.surface_name, len(names))
+                             for m in rec.mentions])
+            for rec in records if rec.mentions)
+    return _assemble(rows, names)
+
+
+def load_graph(path) -> BipartiteGraph:
+    """``build_graph(read_records(path))``, built in one pass over the
+    JSONL file with no record objects: each line goes straight to a
+    record id and author ids. A malformed line raises CorpusParseError
+    as ``read_records`` does.
+    """
+    names: dict[str, int] = {}
+
+    def author(name, gold_id):
+        return names.setdefault(name, len(names))
+
+    rows = ((fields[0], ids) for fields, ids in read_lines(path, author) if ids)
+    return _assemble(rows, names)
 
 
 def _reach(g: BipartiteGraph, src: int, max_hops: int, excluded: int) -> dict[int, int]:

@@ -69,23 +69,23 @@ def gold_key(mention: AuthorMention) -> str:
     return f"{mention.surface_name} {mention.gold_id}"
 
 
-# the encoder json.dumps(obj, ensure_ascii=False, sort_keys=True) would
-# build on every call
-_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+# a JSON string literal as json.dumps(..., ensure_ascii=False) writes it
+_string = json.encoder.encode_basestring
 
 
 def record_to_json(rec: RawRecord) -> str:
-    obj = {
-        "id": rec.record_id,
-        "kind": rec.kind,
-        "title": rec.title,
-        "venue": rec.venue,
-        "year": rec.year,
-        "authors": [
-            {"name": m.surface_name, "gold_id": m.gold_id} for m in rec.mentions
-        ],
-    }
-    return _ENCODER.encode(obj)
+    """The record as one line of JSON, equal to ``json.dumps(obj,
+    ensure_ascii=False, sort_keys=True)`` of its fields: written piece by
+    piece, keys in sorted order, with no dict and no generic encoder."""
+    authors = ", ".join(
+        '{"gold_id": %s, "name": %s}'
+        % ("null" if m.gold_id is None else _string(m.gold_id), _string(m.surface_name))
+        for m in rec.mentions)
+    venue = "null" if rec.venue is None else _string(rec.venue)
+    year = "null" if rec.year is None else str(rec.year)
+    return (f'{{"authors": [{authors}], "id": {_string(rec.record_id)}, '
+            f'"kind": {_string(rec.kind)}, "title": {_string(rec.title)}, '
+            f'"venue": {venue}, "year": {year}}}')
 
 
 # key -> the types json.loads gives that key in a well-formed line
@@ -122,43 +122,55 @@ def _require(obj, fields, what) -> None:
                              f"{_JSON_TYPES[type(obj[key])]}, expected {expected}")
 
 
-def _decode(obj, shared) -> RawRecord:
-    """Build a record from one decoded JSONL object.
+# raw_decode parses a line without json.loads's two whitespace scans
+_raw_decode = json.JSONDecoder().raw_decode
 
-    ``shared`` maps (surface name, gold id) to the mention already made
-    for it, so equal mentions are one object. Raises ValueError naming
-    the missing or ill-typed key.
+
+def _fields(text: str) -> tuple:
+    """The id, kind, title, venue, year and authors of one JSONL line.
+
+    Raises ValueError (a JSONDecodeError for bad JSON) naming what is
+    wrong.
     """
+    try:
+        obj, end = _raw_decode(text)
+    except json.JSONDecodeError:
+        end = None
+    # raw_decode failed or left more than the line's own newline: json.loads
+    # decides, so leading or trailing whitespace, extra data, a BOM and
+    # every parse error get its answer
+    if end is None or text[end:] != "\n":
+        obj = json.loads(text)
     try:
         values = _record_fields(obj)
     except (KeyError, TypeError):
         values = None
     if values is None or tuple(map(type, values)) not in _RECORD_TYPES:
         _require(obj, _RECORD_FIELDS, "record")
-    record_id, kind, title, venue, year, authors = values
-    mentions = []
-    for a in authors:
-        try:
-            m = shared[_author_key(a)]
-        except (KeyError, TypeError):
-            # first sight of this mention, or a malformed author
-            try:
-                name, gold_id = _author_key(a)
-            except (KeyError, TypeError):
-                name = gold_id = None
-            if (type(name), type(gold_id)) not in _AUTHOR_TYPES:
-                _require(a, _AUTHOR_FIELDS, "author")
-            raw = name if gold_id is None else f"{name} {gold_id}"
-            m = shared[name, gold_id] = AuthorMention(
-                surface_name=name, gold_id=gold_id, raw=raw)
-        mentions.append(m)
-    return RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
-                     year=year, mentions=tuple(mentions))
+    return values
+
+
+def _author(obj) -> tuple[str, str | None]:
+    """The (name, gold id) of one decoded author; ValueError if malformed."""
+    try:
+        name, gold_id = key = _author_key(obj)
+    except (KeyError, TypeError):
+        key = None
+    if key is None or (type(name), type(gold_id)) not in _AUTHOR_TYPES:
+        _require(obj, _AUTHOR_FIELDS, "author")
+    return key
+
+
+def _mention(name: str, gold_id: str | None) -> AuthorMention:
+    raw = name if gold_id is None else f"{name} {gold_id}"
+    return AuthorMention(surface_name=name, gold_id=gold_id, raw=raw)
 
 
 def record_from_json(line: str) -> RawRecord:
     """Parse one JSONL line; raises ValueError if it is malformed."""
-    return _decode(json.loads(line), {})
+    record_id, kind, title, venue, year, authors = _fields(line)
+    return RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
+                     year=year, mentions=tuple(_mention(*_author(a)) for a in authors))
 
 
 def write_records(records, path) -> int:
@@ -182,24 +194,48 @@ def read_utf8(path, error) -> str:
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def read_records(path):
-    """Yield the records of a JSONL file one at a time.
+def read_lines(path, author):
+    """Yield ``(fields, authors)`` for each record line of a JSONL file.
 
-    Equal author mentions are one shared (immutable) object. A malformed
-    line (invalid UTF-8 or JSON, or not a record) raises CorpusParseError
-    with the path and its 1-based line.
+    ``fields`` is the line's (id, kind, title, venue, year, authors)
+    tuple, ``authors`` the list of ``author(name, gold_id)`` for its
+    authors in order. ``author`` is called once per distinct (name, gold
+    id) pair, the first time the pair is seen, and its result is reused
+    for every later mention of the pair. A malformed line (invalid UTF-8
+    or JSON, or not a record) raises CorpusParseError with the path and
+    its 1-based line.
     """
-    shared: dict[tuple[str, str | None], AuthorMention] = {}
+    seen = {}
     # bytes, decoded line by line, so that invalid UTF-8 has a line number
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
             try:
-                rec = _decode(json.loads(line.decode("utf-8")), shared)
+                fields = _fields(line.decode("utf-8"))
+                values = []
+                for a in fields[5]:
+                    try:
+                        value = seen[_author_key(a)]
+                    except (KeyError, TypeError):
+                        # first sight of this pair, or a malformed author
+                        key = _author(a)
+                        value = seen[key] = author(*key)
+                    values.append(value)
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(f"invalid JSON: {exc.msg}", path=path,
                                        line=lineno, column=exc.colno) from exc
             except ValueError as exc:
                 raise CorpusParseError(str(exc), path=path, line=lineno) from exc
-            yield rec
+            yield fields, values
+
+
+def read_records(path):
+    """Yield the records of a JSONL file one at a time.
+
+    Equal author mentions are one shared (immutable) object. A malformed
+    line raises CorpusParseError, as in ``read_lines``.
+    """
+    for (record_id, kind, title, venue, year, _), mentions in read_lines(path, _mention):
+        yield RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
+                        year=year, mentions=tuple(mentions))

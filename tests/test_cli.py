@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -345,18 +346,36 @@ def _tracked(records, peak):
 
 
 @pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 5]])
-def test_run_and_common_names_hold_no_record_list(tmp_path, synth_corpus,
-                                                  monkeypatch, argv):
-    # under CPython refcounting a record dies as soon as build_graph
-    # moves on, so at most the current and the previous record are alive
+def test_run_and_common_names_hold_no_record_list(tmp_path, synth_corpus, argv):
+    # the load keeps nothing of a line but the graph's entries for it, so
+    # a 4 KiB title on every line, and an author-less line after each one,
+    # leave the command's peak traced memory where it was; a loader that
+    # collected decoded lines or record objects would hold all the padding
     records, gold = synth_corpus
-    alive = []
-    monkeypatch.setattr(nameclust.cli, "read_records",
-                        _tracked(nameclust.cli.read_records, alive))
-    assert run_cli(argv[0], "--records", records, "--gold", gold,
-                   "--out-dir", tmp_path / "o", *argv[1:]) == 0
-    assert len(alive) == len(records.read_text().splitlines())
-    assert max(alive) <= 2
+    pad = "x" * 4096
+    padded = tmp_path / "padded.jsonl"
+    lines = records.read_text().splitlines()
+    with open(padded, "w", encoding="utf-8") as fh:
+        for i, line in enumerate(lines):
+            obj = json.loads(line)
+            fh.write(json.dumps(dict(obj, title=obj["title"] + pad)) + "\n")
+            fh.write(json.dumps(dict(obj, id=f"pad/{i}", title=pad, authors=[])) + "\n")
+
+    def peak(path, out):
+        tracemalloc.start()
+        try:
+            assert run_cli(argv[0], "--records", path, "--gold", gold,
+                           "--out-dir", out, *argv[1:]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(records, tmp_path / "warm")  # first-use caches and imports
+    plain = peak(records, tmp_path / "plain")
+    grown = peak(padded, tmp_path / "padded") - plain
+    assert grown < len(pad) * len(lines) // 10, (grown, plain)
+    for f in (tmp_path / "plain").iterdir():
+        assert (tmp_path / "padded" / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_ingest_holds_no_record_list(tmp_path, monkeypatch, capsys):

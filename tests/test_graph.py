@@ -6,8 +6,12 @@ import pytest
 import oracles
 from conftest import rec
 from nameclust.errors import DataIntegrityError, UnknownNodeError
-from nameclust.graph import INFINITE, build_graph, pub_distance, pubs_within
+from nameclust.graph import INFINITE, build_graph, load_graph, pub_distance, pubs_within
+from nameclust.records import read_records, write_records
 from nameclust.synth import SynthConfig, generate_corpus
+
+GRAPH_FIELDS = ("pub_keys", "author_names", "pub_index", "author_index", "pub_authors",
+                "author_pubs")
 
 
 @pytest.fixture
@@ -35,8 +39,7 @@ def test_one_shot_generator_builds_the_same_graph():
     records.append(rec("z/editor-only"))
     from_list = build_graph(records)
     from_gen = build_graph(r for r in records)
-    for attr in ("pub_keys", "author_names", "pub_index", "author_index",
-                 "pub_authors", "author_pubs"):
+    for attr in GRAPH_FIELDS:
         assert getattr(from_gen, attr) == getattr(from_list, attr), attr
     assert from_gen.n_pubs == len(records) - 1
 
@@ -44,6 +47,53 @@ def test_one_shot_generator_builds_the_same_graph():
 def test_duplicate_record_id_rejected():
     with pytest.raises(DataIntegrityError, match="'p1' occurs twice"):
         build_graph([rec("p1", "A B"), rec("p2", "C D"), rec("p1", "E F")])
+
+
+def _loaded_both_ways(path):
+    """``load_graph(path)``, checked equal to ``build_graph(read_records(path))``."""
+    loaded = load_graph(path)
+    built = build_graph(read_records(path))
+    for attr in GRAPH_FIELDS:
+        assert getattr(loaded, attr) == getattr(built, attr), attr
+    return loaded
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_graph_equals_build_graph_on_synth_corpora(tmp_path, seed):
+    records = generate_corpus(SynthConfig(
+        blocks=8, authors_per_block=(1, 4), pubs_per_author=(2, 12),
+        bridge_rate=0.3, shared_pool_size=6, seed=seed))
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    assert _loaded_both_ways(path).n_pubs == len(records)
+
+
+def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([
+        rec("p3", "A B 0001", "C D"),
+        rec("p0"),  # no authors
+        rec("p1", "C D", "A B", "C D"),  # a name twice; A B without its gold id
+        rec("p2", "A B 0002", "A B 0001", "E F"),  # one name under two gold ids
+        rec("p0"),  # author-less ids may repeat
+    ], path)
+    with open(path, "a") as fh:
+        fh.write("\n  \n")  # blank lines
+    g = _loaded_both_ways(path)
+    assert g.pub_keys == ["p1", "p2", "p3"]
+    assert g.author_names == ["A B", "C D", "E F"]
+    assert g.pub_authors == [(0, 1), (0, 2), (0, 1)]
+    assert g.author_pubs == [(0, 1, 2), (0, 2), (1,)]
+
+
+def test_load_graph_rejects_a_duplicate_record_id(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([rec("p1", "A B"), rec("p2", "C D"), rec("p1", "E F"),
+                   rec("p2", "G H")], path)
+    for build in (load_graph, lambda p: build_graph(read_records(p))):
+        with pytest.raises(DataIntegrityError) as exc:
+            build(path)
+        assert str(exc.value) == "record id 'p1' occurs twice in the records"
 
 
 def test_duplicate_names_collapse_to_one_edge():

@@ -1,11 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nameclust.errors import CorpusParseError, MalformedMentionError
+from nameclust.graph import load_graph
 from nameclust.records import (
+    AuthorMention,
+    RawRecord,
     parse_mention,
     read_records,
     record_from_json,
@@ -78,6 +81,26 @@ def test_json_line_is_stable():
     assert record_from_json(record_to_json(r)) == r
 
 
+# text rich in what JSON must escape, mixed with arbitrary text
+_TEXT = st.text(alphabet='"\\/\x00\x07\x1f\x7f\n\r\t\b\f\u2028é€😀 a0') | st.text()
+_RECORDS = st.builds(
+    RawRecord, record_id=_TEXT, kind=_TEXT, title=_TEXT, venue=st.none() | _TEXT,
+    year=st.none() | st.integers(),
+    mentions=st.lists(st.builds(AuthorMention, surface_name=_TEXT,
+                                gold_id=st.none() | _TEXT, raw=st.just("")),
+                      max_size=4).map(tuple))
+
+
+@given(_RECORDS)
+@example(RawRecord(record_id="a/1", kind="www", title='"\\', venue=None, year=None,
+                   mentions=()))
+def test_record_to_json_equals_json_dumps(r):
+    obj = {"id": r.record_id, "kind": r.kind, "title": r.title, "venue": r.venue,
+           "year": r.year, "authors": [{"name": m.surface_name, "gold_id": m.gold_id}
+                                       for m in r.mentions]}
+    assert record_to_json(r) == json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+
 def test_read_records_shares_equal_mentions(tmp_path):
     records = [
         rec("a/1", "Wei Li 0001", "Jane Roe"),
@@ -93,6 +116,24 @@ def test_read_records_shares_equal_mentions(tmp_path):
     for back, orig in zip((one, two), records):
         assert record_from_json(record_to_json(back)) == back
         assert [m.raw for m in back.mentions] == [m.raw for m in orig.mentions]
+
+
+def _errors_of_both_readers(path):
+    """The record ids ``read_records`` yields from ``path`` before its
+    error, and the CorpusParseError of ``read_records`` and of
+    ``load_graph``, which must agree."""
+    seen = []
+    with pytest.raises(CorpusParseError) as by_records:
+        for r in read_records(path):
+            seen.append(r.record_id)
+    with pytest.raises(CorpusParseError) as by_graph:
+        load_graph(path)
+
+    def where(err):
+        return str(err), err.path, err.line, err.column
+
+    assert where(by_graph.value) == where(by_records.value)
+    return seen, by_records.value
 
 
 _MISSING = object()
@@ -129,30 +170,51 @@ def test_malformed_line_reports_path_and_line(tmp_path, line, message):
     path = tmp_path / "records.jsonl"
     # the bad line is line 4 of the file: a good line, a blank line, a good line
     path.write_text(f"{_with()}\n\n{_with(id='a/2')}\n{line}\n{_with(id='a/3')}\n")
-    seen = []
-    with pytest.raises(CorpusParseError) as exc:
-        for r in read_records(path):
-            seen.append(r.record_id)
+    seen, err = _errors_of_both_readers(path)
     assert seen == ["a/1", "a/2"]
-    assert exc.value.path == path
-    assert exc.value.line == 4
-    assert message in str(exc.value)
-    assert str(path) in str(exc.value) and "line 4" in str(exc.value)
+    assert err.path == path
+    assert err.line == 4
+    assert message in str(err)
+    assert str(path) in str(err) and "line 4" in str(err)
 
 
 def test_invalid_utf8_reports_its_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_bytes(_with().encode() + b'\n{"id": "a/\xff"}\n')
-    with pytest.raises(CorpusParseError) as exc:
-        list(read_records(path))
-    assert exc.value.line == 2
-    assert "can't decode byte 0xff" in str(exc.value)
+    _, err = _errors_of_both_readers(path)
+    assert err.line == 2
+    assert "can't decode byte 0xff" in str(err)
 
 
 def test_malformed_json_column_is_within_the_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text(_with() + "\n" + '{"id" "a/2"}\n')
-    with pytest.raises(CorpusParseError) as exc:
-        list(read_records(path))
-    assert (exc.value.line, exc.value.column) == (2, 7)
-    assert "line 2, col 7" in str(exc.value)
+    _, err = _errors_of_both_readers(path)
+    assert (err.line, err.column) == (2, 7)
+    assert "line 2, col 7" in str(err)
+
+
+@pytest.mark.parametrize("text", [
+    "  " + _with(id="a/2") + "\n",
+    _with(id="a/2") + "\r\n",
+    _with(id="a/2") + " \t\n",
+    _with(id="a/2"),  # last line, no newline
+    _with(id="a/2") + " x\n",
+    _with(id="a/2") + "{}\n",
+    "\ufeff" + _with(id="a/2") + "\n",
+], ids=["leading-space", "crlf", "trailing-space", "no-newline", "trailing-garbage",
+        "second-object", "bom"])
+def test_line_decoding_agrees_with_json_loads(tmp_path, text):
+    # the decoder parses with raw_decode and hands every line that leaves
+    # more than its newline to json.loads, so each reader must give what
+    # json.loads gives
+    path = tmp_path / "records.jsonl"
+    path.write_bytes((_with() + "\n" + text).encode())
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        _, err = _errors_of_both_readers(path)
+        assert str(err) == f"invalid JSON: {exc.msg} ({path}; line 2, col {exc.colno})"
+    else:
+        assert [r.record_id for r in read_records(path)] == ["a/1", obj["id"]]
+        assert load_graph(path).pub_keys == ["a/1", obj["id"]]
