@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bcubed import BcubedScores, block_scores, corpus_scores, item_scores
-from .cluster import Clustering, DisjointSet, cluster_block, count_comparisons
+from .cluster import Clustering, cluster_block, count_comparisons
 from .community import (
     Partition,
     WeightedPubGraph,
@@ -24,7 +24,6 @@ __all__ = [
     "BipartiteGraph",
     "Block",
     "Clustering",
-    "DisjointSet",
     "GoldStandard",
     "INFINITE",
     "Partition",

@@ -9,47 +9,6 @@ from .graph import BipartiteGraph
 from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
 
 
-class DisjointSet:
-    """Union-find with path compression and union by rank."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def add(self, x) -> bool:
-        """Insert ``x`` as a singleton; False if it was already present."""
-        if x in self.parent:
-            return False
-        self.parent[x] = x
-        self.rank[x] = 0
-        return True
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
-
-    def groups(self) -> list[set]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
-
-
 @dataclass
 class Clustering:
     block_key: str
@@ -95,9 +54,17 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
         raise ValueError("distance bound must be odd and >= 1")
     members = sorted(b.members)
     excluded = g.author_id(b.block_key)
-    # one id space for both sides: publications p >= 0, authors ~a < 0
+    # one id space for both sides: publications p >= 0, authors ~a < 0;
+    # parent holds the union-find forest over every node reached so far
     ids = [g.pub_id(p) for p in members]
-    ds = DisjointSet(ids)
+    parent = {p: p for p in ids}
+
+    def find(x):
+        # path halving: each node on the way is pointed at its grandparent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     frontier = ids
     for depth in range((threshold + 1) // 2):
         nxt = []
@@ -106,14 +73,22 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
                 nbrs = [~a for a in g.pub_authors[u] if a != excluded]
             else:
                 nbrs = g.author_pubs[~u]
+            # root is never re-pointed below, so it stays a root
+            root = find(u)
             for v in nbrs:
-                if ds.add(v):
+                if v not in parent:
+                    parent[v] = root
                     nxt.append(v)
-                ds.union(u, v)
+                else:
+                    rv = find(v)
+                    if rv != root:
+                        parent[rv] = root
         frontier = nxt
+    # groups come in order of their lowest member, which is also their
+    # cluster id, so no output depends on which node became a root
     groups: dict[int, list[str]] = {}
     for p, pid in zip(members, ids):
-        groups.setdefault(ds.find(pid), []).append(p)
+        groups.setdefault(find(pid), []).append(p)
     # the audit counts pairs decided: every pair of members the
     # union-find placed, so a member it missed fails the CLI's check
     covered = sum(len(grp) for grp in groups.values())

@@ -11,7 +11,8 @@ whose answer is already known is not redone. The adjacency expands
 each author once per block, not once per member that has the author.
 After its first sweep, a level of Louvain keeps each node's weight to
 each neighbouring community current as nodes move, instead of
-rescanning every neighbour at every visit.
+rescanning every neighbour at every visit, and the next level is read
+from those weights.
 
 Every edge weight is a positive integer held in a float (1.0 or 2.0
 from the similarity graph). Every sum and difference of such weights is
@@ -137,11 +138,14 @@ def _community_weights(row, comm):
 
 
 def _local_move(adj, k, total, resolution):
-    """One level of greedy node moves; returns (communities, moved_any).
+    """One level of greedy node moves; returns (communities, next level).
 
     Nodes are swept in ascending id order; a node joins the neighboring
     community with the largest positive gain, ties to the lowest label.
     The communities come back numbered 0..c-1 in ascending label order.
+    The next level is None if no node moved, else the adjacency and
+    degrees of the graph whose nodes are the communities, read from
+    ``links`` and ``sigma``: no edge is walked again.
 
     The first sweep, in which nearly every node moves, sums each node's
     weight per neighbouring community at its visit. If it moved a node,
@@ -155,7 +159,6 @@ def _local_move(adj, k, total, resolution):
     comm = list(range(n))
     sigma = list(k)  # total degree per community label
     denom = 2.0 * total * total
-    moved_any = False
     links = None
     improved = True
     while improved:
@@ -178,7 +181,6 @@ def _local_move(adj, k, total, resolution):
             sigma[best_c] += k_i
             if best_c != c_old:
                 improved = True
-                moved_any = True
                 if links is not None:
                     for j, w in adj[i].items():
                         lj = links[j]
@@ -190,33 +192,23 @@ def _local_move(adj, k, total, resolution):
                         lj[best_c] = lj.get(best_c, 0.0) + w
         if improved and links is None:
             links = [_community_weights(row, comm) for row in adj]
-    dense = {c: d for d, c in enumerate(sorted(set(comm)))}
-    return [dense[c] for c in comm], moved_any
-
-
-def _aggregate(adj, self_w, comm):
-    """Collapse communities 0..c-1 into supernodes, keeping edge weights."""
-    n_new = max(comm) + 1
-    new_adj = [dict() for _ in range(n_new)]
-    new_self = [0.0] * n_new
-    for i in range(len(adj)):
+    if links is None:
+        return comm, None
+    labels = sorted(set(comm))
+    dense = {c: d for d, c in enumerate(labels)}
+    comm = [dense[c] for c in comm]
+    # a community's edge to another is the sum of its nodes' links
+    # entries for it; its own entries are internal weight, which its
+    # degree in sigma already holds twice
+    new_adj: list[dict[int, float]] = [{} for _ in labels]
+    for i, row in enumerate(links):
         ci = comm[i]
-        new_self[ci] += self_w[i]
-        for j, w in adj[i].items():
-            if j <= i:
-                continue
-            cj = comm[j]
-            if ci == cj:
-                new_self[ci] += w
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_self
-
-
-def _degrees(adj, self_w):
-    """Weighted degree of each node; a self weight counts twice."""
-    return [sum(adj[i].values()) + 2.0 * self_w[i] for i in range(len(adj))]
+        out = new_adj[ci]
+        for c, w in row.items():
+            d = dense[c]
+            if d != ci:
+                out[d] = out.get(d, 0.0) + w
+    return comm, (new_adj, [sigma[c] for c in labels])
 
 
 def _louvain(adj, total, resolution):
@@ -227,26 +219,25 @@ def _louvain(adj, total, resolution):
     by the community's lowest node id, the number of aggregation levels,
     and the partition's modularity (None when there are no edges). Q is
     read from the final level, where a community is one supernode: its
-    internal weight is the supernode's self weight and its degree sum
-    the supernode's degree, so no pass over the edges is needed.
+    degree sum is the supernode's degree, and its internal weight half
+    of what that degree holds beyond the supernode's edges, so no pass
+    over the original edges is needed.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     n = len(adj)
     if not total:
         return list(range(n)), 0, None
-    self_w = [0.0] * n
-    k = _degrees(adj, self_w)
+    k = [sum(row.values()) for row in adj]
     node_to_super = list(range(n))
     passes = 0
     while passes < MAX_PASSES:
-        comm, moved = _local_move(adj, k, total, resolution)
-        if not moved:
+        comm, level = _local_move(adj, k, total, resolution)
+        if level is None:
             break
         passes += 1
-        adj, self_w = _aggregate(adj, self_w, comm)
+        adj, k = level
         node_to_super = [comm[s] for s in node_to_super]
-        k = _degrees(adj, self_w)
 
     # dense ids ordered by each community's lowest node id
     first_seen: dict[int, int] = {}
@@ -254,7 +245,8 @@ def _louvain(adj, total, resolution):
         first_seen.setdefault(s, len(first_seen))
     q = 0.0
     for s in first_seen:  # dense-id order, as modularity sums
-        q += self_w[s] / total - resolution * (k[s] / (2.0 * total)) ** 2
+        w_in = (k[s] - sum(adj[s].values())) / 2.0
+        q += w_in / total - resolution * (k[s] / (2.0 * total)) ** 2
     return [first_seen[s] for s in node_to_super], passes, q
 
 
@@ -285,7 +277,7 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
     before/after, pass count, and community count for the JSON export.
     """
     nodes, adj = _similarity_adjacency(b, g)
-    k = _degrees(adj, [0.0] * len(adj))
+    k = [sum(row.values()) for row in adj]
     total = sum(k) / 2.0
     labels, passes, q_after = _louvain(adj, total, resolution)
     q_before = None

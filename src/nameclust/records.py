@@ -6,7 +6,7 @@ import itertools
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusParseError, MalformedMentionError
@@ -32,7 +32,6 @@ _SUFFIX_RE = re.compile(r"^(.*\S) (\d{4})$")
 class AuthorMention:
     surface_name: str
     gold_id: str | None
-    raw: str = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ def parse_mention(raw: str) -> AuthorMention:
         raise MalformedMentionError(f"empty author mention: {raw!r}")
     m = _SUFFIX_RE.match(name)
     if m:
-        return AuthorMention(surface_name=m.group(1), gold_id=m.group(2), raw=raw)
-    return AuthorMention(surface_name=name, gold_id=None, raw=raw)
+        return AuthorMention(surface_name=m.group(1), gold_id=m.group(2))
+    return AuthorMention(surface_name=name, gold_id=None)
 
 
 def gold_key(mention: AuthorMention) -> str:
@@ -161,18 +160,6 @@ def _author(obj) -> tuple[str, str | None]:
     return key
 
 
-def _mention(name: str, gold_id: str | None) -> AuthorMention:
-    raw = name if gold_id is None else f"{name} {gold_id}"
-    return AuthorMention(surface_name=name, gold_id=gold_id, raw=raw)
-
-
-def record_from_json(line: str) -> RawRecord:
-    """Parse one JSONL line; raises ValueError if it is malformed."""
-    record_id, kind, title, venue, year, authors = _fields(line)
-    return RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
-                     year=year, mentions=tuple(_mention(*_author(a)) for a in authors))
-
-
 def write_records(records, path) -> int:
     """Write records as one JSON object per line. Returns the count."""
     n = 0
@@ -236,6 +223,6 @@ def read_records(path):
     Equal author mentions are one shared (immutable) object. A malformed
     line raises CorpusParseError, as in ``read_lines``.
     """
-    for (record_id, kind, title, venue, year, _), mentions in read_lines(path, _mention):
+    for (record_id, kind, title, venue, year, _), mentions in read_lines(path, AuthorMention):
         yield RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
                         year=year, mentions=tuple(mentions))

@@ -56,7 +56,7 @@ def generate_corpus(cfg: SynthConfig) -> list[RawRecord]:
                     coauthors.append(rng.choice(shared_pool))
                 mentions = [parse_mention(f"{block_name} {a:04d}")]
                 mentions.extend(
-                    AuthorMention(surface_name=name, gold_id=None, raw=name)
+                    AuthorMention(surface_name=name, gold_id=None)
                     for name in coauthors
                 )
                 records.append(

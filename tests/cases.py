@@ -4,7 +4,8 @@ The fixed graph family checks Louvain against exhaustive search. All
 its graphs have at most 12 nodes so the set-partition argmax stays
 enumerable: bridged cliques, stars, paths, and planted two-community
 blocks with the {2, 1} weight scheme. ``shared_coauthor_corpus`` draws
-small corpora whose blocks share co-authors.
+small corpora whose blocks share co-authors, ``hub_corpus`` corpora
+whose blocks share a few prolific co-authors.
 """
 
 import itertools
@@ -89,4 +90,28 @@ def shared_coauthor_corpus(rng):
             names.append(f"{f} {rng.randint(1, 3):04d}" if rng.random() < 0.8 else f)
         names += rng.sample(pool, rng.randint(0, min(3, len(pool))))
         records.append(rec(f"r{i:03d}", *(names or [rng.choice(pool)])))
+    return records
+
+
+def hub_corpus(rng):
+    """Blocks whose records share a few prolific co-authors ("hubs"),
+    each with many publications outside every block; other co-authors of
+    those publications recur with several hubs. Most members of a block
+    meet through one hub, so a union-find over the block's neighbourhood
+    builds long chains and reaches the same nodes again and again."""
+    focal = ["Focal A", "Focal B", "Focal C"]
+    hubs = [f"Hub {i}" for i in range(rng.randint(1, 3))]
+    outer = [f"Outer {i}" for i in range(rng.randint(5, 30))]
+    records = []
+    for i in range(rng.randint(40, 120)):
+        names = [rng.choice(hubs)] + rng.sample(outer, rng.randint(0, 2))
+        records.append(rec(f"o{i:03d}", *names))
+    for i in range(rng.randint(5, 40)):
+        names = [f"{f} {rng.randint(1, 4):04d}" if rng.random() < 0.9 else f
+                 for f in rng.sample(focal, rng.choice([1, 1, 1, 2]))]
+        if rng.random() < 0.7:
+            names.append(rng.choice(hubs))
+        if rng.random() < 0.3:
+            names.append(rng.choice(outer))
+        records.append(rec(f"m{i:03d}", *names))
     return records

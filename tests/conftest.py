@@ -5,9 +5,9 @@ from nameclust.records import AuthorMention, RawRecord
 
 def rec(record_id, *names, kind="article"):
     mentions = tuple(
-        AuthorMention(surface_name=" ".join(n.split()[:-1]), gold_id=n.split()[-1], raw=n)
+        AuthorMention(surface_name=" ".join(n.split()[:-1]), gold_id=n.split()[-1])
         if n.split()[-1].isdigit() and len(n.split()[-1]) == 4
-        else AuthorMention(surface_name=n, gold_id=None, raw=n)
+        else AuthorMention(surface_name=n, gold_id=None)
         for n in names
     )
     return RawRecord(record_id=record_id, kind=kind, title=f"T {record_id}",

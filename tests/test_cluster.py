@@ -1,12 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 
 import cases
 import oracles
 from conftest import rec
 from nameclust.cluster import (
-    DisjointSet,
     cluster_block,
     count_comparisons,
     groups_to_clustering,
@@ -33,15 +33,6 @@ def test_count_comparisons():
     assert count_comparisons(_blockset(3, 2)) == 4
     assert count_comparisons(_blockset(1)) == 0
     assert count_comparisons(_blockset(5, 5, 5)) == 30
-
-
-def test_disjoint_set():
-    ds = DisjointSet("abcde")
-    assert ds.union("a", "b")
-    assert ds.union("b", "c")
-    assert not ds.union("a", "c")
-    groups = sorted(sorted(g) for g in ds.groups())
-    assert groups == [["a", "b", "c"], ["d"], ["e"]]
 
 
 @pytest.fixture
@@ -128,8 +119,8 @@ def test_comparison_budget():
 
 def test_order_independence():
     # permuting pair evaluation order never changes the partition: check
-    # by comparing against a shuffled-pair brute run deciding every pair
-    # with the graph's own distance query
+    # by comparing against the components of a shuffled-pair brute run
+    # deciding every pair with the graph's own distance query
     records, graph, block_set = _synthetic_setup(9, blocks=3)
     for block in block_set:
         base = cluster_block(block, graph, 3)
@@ -137,13 +128,12 @@ def test_order_independence():
         pairs = [(p, q) for i, p in enumerate(members) for q in members[i + 1:]]
         rng = random.Random(17)
         rng.shuffle(pairs)
-        ds = DisjointSet(members)
-        for p, q in pairs:
-            if pub_distance(graph, p, q, 3, block.block_key) <= 3:
-                ds.union(p, q)
-        shuffled = groups_to_clustering(block.block_key, ds.groups())
-        assert sorted(map(sorted, shuffled.clusters.values())) == \
-            sorted(map(sorted, base.clusters.values()))
+        near = nx.Graph()
+        near.add_nodes_from(members)
+        near.add_edges_from((p, q) for p, q in pairs
+                            if pub_distance(graph, p, q, 3, block.block_key) <= 3)
+        shuffled = groups_to_clustering(block.block_key, nx.connected_components(near))
+        assert shuffled.clusters == base.clusters
 
 
 def _partition(c):
@@ -191,13 +181,12 @@ def test_record_with_two_focal_names():
     assert _partition(cluster_block(jun, graph, 3)) == [["r1", "r2", "r4"]]
 
 
-def test_components_equivalence_shared_coauthors():
-    # blocks here share co-authors, so the threshold-3 paths run through
-    # publications outside the block, which the synthetic corpora never do
-    rng = random.Random(2024)
-    units = 0
-    for _ in range(150):
-        records = cases.shared_coauthor_corpus(rng)
+def _check_components(corpora):
+    """Check ``cluster_block`` at t=1, 3 and 5 against the BFS oracle on
+    every block of ``corpora``; returns the largest cluster's size of
+    each check."""
+    largest = []
+    for records in corpora:
         graph = build_graph(records)
         nxg = oracles.build_nx_graph(records)
         for block in build_blocks(build_gold_standard(records)):
@@ -208,8 +197,25 @@ def test_components_equivalence_shared_coauthors():
                     nxg, block.members, block.block_key, threshold)
                 assert got == want, (block.block_key, threshold)
                 assert c.comparisons == block.m * (block.m - 1) // 2
-                units += 1
-    assert units > 600
+                largest.append(max(map(len, got)))
+    return largest
+
+
+def test_components_equivalence_shared_coauthors():
+    # blocks here share co-authors, so the threshold-3 paths run through
+    # publications outside the block, which the synthetic corpora never do
+    rng = random.Random(2024)
+    largest = _check_components(cases.shared_coauthor_corpus(rng) for _ in range(150))
+    assert len(largest) > 600
+
+
+def test_components_equivalence_hub_coauthors():
+    # most members of a block meet through a few prolific co-authors with
+    # many publications outside the block: long union-find chains, and
+    # the same nodes reached again from many members
+    rng = random.Random(4242)
+    largest = _check_components(cases.hub_corpus(rng) for _ in range(100))
+    assert len(largest) > 600 and sum(n >= 10 for n in largest) > 200
 
 
 def test_even_threshold_rejected(fig1_setup):

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 import cases
 import oracles
 from conftest import rec
 from nameclust import community
-from nameclust.cluster import DisjointSet, cluster_block
+from nameclust.cluster import cluster_block
 from nameclust.community import (
     Partition,
     WeightedPubGraph,
@@ -58,10 +59,10 @@ def test_similarity_graph_no_links():
 
 
 def _edge_components(nodes, edges):
-    ds = DisjointSet(nodes)
-    for u, v in edges:
-        ds.union(u, v)
-    return sorted((frozenset(g) for g in ds.groups()), key=sorted)
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    return sorted((frozenset(c) for c in nx.connected_components(g)), key=sorted)
 
 
 def test_similarity_graph_components_are_threshold_clusters():
@@ -87,11 +88,9 @@ def test_similarity_graph_components_are_threshold_clusters():
     assert units > 800
 
 
-def test_similarity_graph_matches_bfs_oracle(fig1_records):
-    # exact edges and weights: a weight that lands on the wrong pair can
-    # leave the components, and so the test above, unchanged
-    rng = random.Random(1810)
-    corpora = [fig1_records] + [cases.shared_coauthor_corpus(rng) for _ in range(150)]
+def _check_similarity_edges(corpora):
+    """Check ``build_similarity_graph`` against the BFS oracle on every
+    block of ``corpora``; returns the weights of all edges."""
     weights = []
     for records in corpora:
         graph = build_graph(records)
@@ -102,7 +101,24 @@ def test_similarity_graph_matches_bfs_oracle(fig1_records):
             assert wg.edges == oracles.oracle_similarity_edges(
                 nxg, block.members, block.block_key), block.block_key
             weights.extend(wg.edges.values())
+    return weights
+
+
+def test_similarity_graph_matches_bfs_oracle(fig1_records):
+    # exact edges and weights: a weight that lands on the wrong pair can
+    # leave the components, and so the test above, unchanged
+    rng = random.Random(1810)
+    corpora = [fig1_records] + [cases.shared_coauthor_corpus(rng) for _ in range(150)]
+    weights = _check_similarity_edges(corpora)
     assert weights.count(2.0) > 10_000 and weights.count(1.0) > 4_000
+
+
+def test_similarity_graph_matches_bfs_oracle_hub_coauthors():
+    # members linked through a few prolific co-authors whose many outside
+    # publications carry co-authors shared between hubs
+    rng = random.Random(4242)
+    weights = _check_similarity_edges(cases.hub_corpus(rng) for _ in range(100))
+    assert weights.count(2.0) > 3_000 and weights.count(1.0) > 3_000
 
 
 # -- modularity --------------------------------------------------------------
