@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -84,15 +83,6 @@ def _check_settings(thresholds, alpha, workers, resolution=1.0, sample_count=Non
         raise UsageError(f"sample count must be >= 1, got {sample_count}")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-
-
-def _per_block(fn, blocks, workers) -> list:
-    """``fn`` over ``blocks``, results in block order, on a pool of
-    ``workers`` threads when that is more than one."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, blocks))
-    return [fn(b) for b in blocks]
 
 
 def _dump_json(obj, path) -> None:
@@ -182,9 +172,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _check_blocks_in_graph(blocks, graph) -> None:
-    """Every evaluated gold record must be an authored record, and every
-    evaluated block name an author, in the records the graph was built from."""
+def _inputs(args, choose):
+    """The graph of ``--records``, the gold blocks of ``--gold`` that
+    ``choose`` keeps, and ``--out-dir``. Every kept gold record must be an
+    authored record, and every kept block name an author, in the records.
+    The directory is made only once all of that has passed, so a data
+    error leaves no directory."""
+    graph = load_graph(args.records)
+    blocks = choose(build_blocks(read_gold(args.gold)))
     missing = [(rid, b.block_key) for b in blocks for rid in b.members
                if rid not in graph.pub_index]
     if missing:
@@ -196,6 +191,9 @@ def _check_blocks_in_graph(blocks, graph) -> None:
         if b.block_key not in graph.author_index:
             raise DataIntegrityError(
                 f"block {b.block_key!r} is not an author name in --records")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return graph, blocks, out_dir
 
 
 def cmd_run(args) -> int:
@@ -208,22 +206,18 @@ def cmd_run(args) -> int:
     workers = _setting(args, config, "workers", 1, int)
     _check_settings(thresholds, alpha, workers, sample_count=sample_count)
 
-    graph = load_graph(args.records)
-    gold = read_gold(args.gold)
-    blocks = build_blocks(gold)
-    if not blocks:
-        raise DataIntegrityError(f"gold file {args.gold} has no blocks to evaluate")
-    if sample_count is not None:
+    def choose(blocks):
+        if not blocks:
+            raise DataIntegrityError(f"gold file {args.gold} has no blocks to evaluate")
+        if sample_count is None:
+            return blocks
         if sample_count > len(blocks):
             raise UsageError(
                 f"sample count {sample_count} exceeds {len(blocks)} available blocks")
-        blocks = sample_blocks(blocks, sample_count, seed)
-    _check_blocks_in_graph(blocks, graph)
-    # made only once the inputs have passed, so a data error leaves no directory
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    blocks_by_key = {b.block_key: b for b in blocks}
+        return sample_blocks(blocks, sample_count, seed)
 
+    graph, blocks, out_dir = _inputs(args, choose)
+    blocks_by_key = {b.block_key: b for b in blocks}
     comparisons = count_comparisons(blocks)
     report = {
         "alpha": alpha,
@@ -233,16 +227,13 @@ def cmd_run(args) -> int:
         "thresholds": [],
     }
     for t in thresholds:
-        def one(block):
-            clustering = cluster_block(block, graph, t)
-            return clustering, block_scores(clustering, block, alpha)
-
-        clusterings, scores = zip(*_per_block(one, blocks, workers))
+        clusterings = [cluster_block(b, graph, t) for b in blocks]
         observed = sum(c.comparisons for c in clusterings)
         if observed != comparisons:
             raise DataIntegrityError(
                 f"comparison audit failed: {observed} != {comparisons}")
         write_clusters_tsv(clusterings, blocks_by_key, out_dir / f"clusters_t{t}.tsv")
+        scores = [block_scores(c, b, alpha) for c, b in zip(clusterings, blocks)]
         per_block = [{"block_key": b.block_key, "m": b.m, **_triple(s)}
                      for b, s in zip(blocks, scores)]
         corpus = corpus_scores(scores)
@@ -263,14 +254,8 @@ def cmd_common_names(args) -> int:
     workers = _setting(args, config, "workers", 1, int)
     _check_settings([threshold], alpha, workers, resolution)
 
-    graph = load_graph(args.records)
-    gold = read_gold(args.gold)
-    blocks = [b for b in build_blocks(gold) if b.m > min_block_size]
-    _check_blocks_in_graph(blocks, graph)
-    # made only once the inputs have passed, so a data error leaves no directory
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    graph, blocks, out_dir = _inputs(
+        args, lambda blocks: [b for b in blocks if b.m > min_block_size])
     report = {
         "threshold": threshold,
         "alpha": alpha,
@@ -284,27 +269,20 @@ def cmd_common_names(args) -> int:
         print(f"common-names: no blocks larger than {min_block_size} publications")
         return EXIT_OK
 
-    def one(block):
-        base = cluster_block(block, graph, threshold)
-        refined, info = refine_with_report(block, base, graph, resolution)
-        return block_scores(base, block, alpha), block_scores(refined, block, alpha), info
-
-    results = _per_block(one, blocks, workers)
-    before = corpus_scores([r[0] for r in results])
-    after = corpus_scores([r[1] for r in results])
+    base_scores, refined_scores, per_block = [], [], []
+    for b in blocks:
+        base = cluster_block(b, graph, threshold)
+        refined, info = refine_with_report(b, base, graph, resolution)
+        base_scores.append(block_scores(base, b, alpha))
+        refined_scores.append(block_scores(refined, b, alpha))
+        per_block.append({"block_key": b.block_key, "m": b.m, "before": _triple(base_scores[-1]),
+                          "after": _triple(refined_scores[-1]), **info})
+    before = corpus_scores(base_scores)
+    after = corpus_scores(refined_scores)
     report["status"] = "ok"
     report["before"] = _triple(before)
     report["after"] = _triple(after)
-    report["per_block"] = [
-        {
-            "block_key": b.block_key,
-            "m": b.m,
-            "before": _triple(b_scores),
-            "after": _triple(a_scores),
-            **info,
-        }
-        for b, (b_scores, a_scores, info) in zip(blocks, results)
-    ]
+    report["per_block"] = per_block
     _dump_json(report, out_dir / "common_names.json")
     print(f"common-names: {len(blocks)} blocks > {min_block_size} pubs")
     print(f"  before: P={before.precision:.4f} R={before.recall:.4f} F={before.f:.4f}")
@@ -368,6 +346,9 @@ def cmd_report(args) -> int:
 
 # -- argument wiring ---------------------------------------------------------
 
+WORKERS_HELP = ("accepted and checked (must be >= 1) but has no effect: "
+                "blocks always run one after another")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nameclust",
@@ -409,7 +390,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sample-count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--config")
     p.set_defaults(func=cmd_run)
 
@@ -422,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--config")
     p.set_defaults(func=cmd_common_names)
 

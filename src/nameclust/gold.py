@@ -109,7 +109,8 @@ def _is_author_map(authors) -> bool:
 
 def read_gold(path) -> GoldStandard:
     """Read ``write_gold``'s format; a file that is not UTF-8 or of
-    another shape raises ``DataIntegrityError`` naming the file (and the
+    another shape, or a block with no gold author or a gold author with no
+    record id, raises ``DataIntegrityError`` naming the file (and the
     first offending block)."""
     obj = json.loads(read_utf8(path, DataIntegrityError))
     if not isinstance(obj, dict):
@@ -120,5 +121,11 @@ def read_gold(path) -> GoldStandard:
             raise DataIntegrityError(
                 f"{path}: gold block {bk!r} does not map gold author keys to "
                 f"lists of record ids")
+        if not authors:
+            raise DataIntegrityError(f"{path}: gold block {bk!r} has no gold authors")
+        for ak, rids in authors.items():
+            if not rids:
+                raise DataIntegrityError(
+                    f"{path}: gold block {bk!r}: gold author {ak!r} has no record ids")
         entries[bk] = {ak: set(rids) for ak, rids in authors.items()}
     return GoldStandard(entries=entries)

@@ -327,8 +327,12 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
 
 
 def test_cli_import_loads_no_numpy_or_scipy():
-    probe = ("import sys, nameclust.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    probe = ("import sys, nameclust.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy', 'concurrent', 'logging')))")
+    assert _python(["-c", probe]).stdout.strip() == "[]"
+    # the package root is only a version: it imports none of its modules
+    probe = ("import sys, nameclust; "
+             "print(sorted(m for m in sys.modules if m.startswith('nameclust.')))")
     assert _python(["-c", probe]).stdout.strip() == "[]"
 
 
@@ -502,13 +506,15 @@ def test_gold_of_wrong_shape_exits_2(tmp_path, synth_corpus, capsys, argv):
     records, gold = synth_corpus
     gold_obj = json.loads(gold.read_text())
     last = sorted(gold_obj)[-1]
-    gold_obj[last] = sorted(next(iter(gold_obj[last].values())))
-    gold.write_text(json.dumps(gold_obj))
-    assert run_cli(argv[0], "--records", records, "--gold", gold,
-                   "--out-dir", tmp_path / "o", *argv[1:]) == 2
-    err = capsys.readouterr().err
-    assert f"data error: {gold}: gold block {last!r}" in err
-    assert "Traceback" not in err
+    authors = gold_obj[last]
+    # a list for the author map, no gold author, a gold author with no record
+    for shape in (sorted(next(iter(authors.values()))), {}, {next(iter(authors)): []}):
+        gold.write_text(json.dumps({**gold_obj, last: shape}))
+        assert run_cli(argv[0], "--records", records, "--gold", gold,
+                       "--out-dir", tmp_path / "o", *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {gold}: gold block {last!r}" in err
+        assert "Traceback" not in err
 
 
 # a UTF-16 byte order mark: the first byte is no UTF-8 start byte
@@ -575,8 +581,20 @@ def _damage_gold_record(records, gold):
     gold.write_text(json.dumps(gold_obj))
 
 
+def _damage_gold_no_authors(records, gold):
+    gold_obj = json.loads(gold.read_text())
+    gold.write_text(json.dumps({**gold_obj, min(gold_obj): {}}))
+
+
+def _damage_gold_no_record_ids(records, gold):
+    gold_obj = json.loads(gold.read_text())
+    first = min(gold_obj)
+    gold.write_text(json.dumps({**gold_obj, first: {f"{first} 0001": []}}))
+
+
 @pytest.mark.parametrize("damage", [_damage_gold_encoding, _damage_record_line,
-                                    _damage_gold_record])
+                                    _damage_gold_record, _damage_gold_no_authors,
+                                    _damage_gold_no_record_ids])
 @pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
 def test_data_error_creates_no_out_dir(tmp_path, synth_corpus, capsys, argv, damage):
     records, gold = synth_corpus

@@ -108,6 +108,8 @@ def test_gold_round_trip(tmp_path, wei_li_corpus):
     ({"A": None}, "A"),
     ([{"A": {"A 0001": ["a/1"]}}], None),
     ("A", None),
+    ({"A": {}}, "A"),
+    ({"A": {"A 0001": ["a/1"], "A 0002": []}}, "A"),
 ])
 def test_read_gold_rejects_other_shapes(tmp_path, obj, block):
     path = tmp_path / "gold.json"
