@@ -87,8 +87,7 @@ def _check_settings(thresholds, alpha, workers, resolution=1.0, sample_count=Non
 
 def _dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def _triple(s: BcubedScores) -> dict:

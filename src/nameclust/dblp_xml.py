@@ -5,6 +5,12 @@ a parser target, which turns the callbacks straight into record fields;
 no element tree is built. Memory stays proportional to one read's
 publications. Input may be a path, ``-`` for stdin, or any binary file
 object, optionally gzip-compressed (detected by magic bytes).
+
+The first read is parsed in the calling process. If the input goes on
+past it and ``os.fork`` exists, a forked child then parses the rest and
+sends each read's record fields back through a pipe, while the caller
+builds the records of the reads before it; the child, not the caller,
+reads the rest of the input.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import contextlib
 import gzip
 import html.entities
 import io
+import os
 import sys
 import types
 import xml.etree.ElementTree as ET
@@ -133,17 +140,36 @@ class _CountingReader:
 def parse_dblp(source):
     """Yield one RawRecord per publication element, in document order.
 
-    A path given as ``source`` is closed when iteration ends, is
-    abandoned or fails.
+    On an XML or gzip error, the records completed before it are yielded,
+    then a located CorpusParseError is raised; an error reading the
+    input is raised as it is. A path given as ``source`` is closed when
+    iteration ends, is abandoned or fails. After the first read, a
+    forked child reads the input (see the module docstring), so the
+    position a caller-supplied stream is left at is unspecified; the
+    child is ended and reaped whenever iteration ends, is abandoned or
+    fails.
     """
     with contextlib.ExitStack() as owned:
-        yield from _parse(_CountingReader(_open_stream(source, owned)))
+        stream = _CountingReader(_open_stream(source, owned))
+        reads = _parse(stream)
+        # the first read's records come before the fork, so the first
+        # record takes no longer than in one process
+        for fields in next(reads):
+            yield _record(*fields)
+        # a first read shorter than asked for met the end of the input,
+        # and closing the parser is all that is left
+        if hasattr(os, "fork") and stream.bytes_read == _READ_SIZE:
+            reads = owned.enter_context(contextlib.closing(_from_child(reads)))
+        for batch in reads:
+            for fields in batch:
+                yield _record(*fields)
 
 
 def _parse(stream):
-    """Feed ``stream`` to the parser one read at a time, and yield the
-    records each read completes; on an XML or gzip error, yield those
-    completed before it, then raise a located CorpusParseError."""
+    """Feed ``stream`` to the parser one read at a time, and yield, for
+    each read, the list of the field tuples of the records it completed;
+    on an XML or gzip error, yield those completed before it, then raise
+    a located CorpusParseError."""
     done: list[tuple] = []
     parser = ET.XMLParser(target=_record_target(done))
     parser.entity.update(_ENTITIES)
@@ -157,13 +183,84 @@ def _parse(stream):
                 parser.close()
         except (ET.ParseError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
             failure = exc
-        for fields in done:
-            yield _record(*fields)
+        batch = done[:]
         done.clear()
+        yield batch
         if failure is not None:
             raise _located(failure, stream.bytes_read) from failure
         if not chunk:
             return
+
+
+def _from_child(reads):
+    """Yield the rest of ``reads`` as a forked child makes it.
+
+    The child resumes ``reads`` and pickles each batch into a pipe, then
+    an end marker (None), or instead the exception that stopped it. Here
+    each batch is yielded as it arrives and a relayed exception is
+    raised. A pipe that ends without the end marker, or a child that does
+    not exit with status 0, raises ChildProcessError. The child is killed
+    if still running when this generator is closed, and always reaped.
+    """
+    import pickle
+    import signal
+
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        _serve(reads, wfd, rfd)
+    os.close(wfd)
+    status = None
+    try:
+        with open(rfd, "rb") as pipe:
+            while True:
+                try:
+                    message = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    message = False  # the pipe ended before or inside a message
+                if type(message) is not list:
+                    break
+                yield message
+        _, status = os.waitpid(pid, 0)
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if isinstance(message, BaseException):
+        raise message
+    code = os.waitstatus_to_exitcode(status)
+    if message is not None or code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the XML parser process {how} before it finished")
+
+
+def _serve(reads, wfd, rfd):
+    """The forked child: send each batch of ``reads`` through ``wfd``,
+    then the end marker or the exception that stopped it, as
+    ``_from_child`` reads them. It leaves through ``os._exit``, so none of
+    the caller's cleanups, exit handlers or output buffers run here."""
+    status = 1
+    try:
+        import pickle
+
+        os.close(rfd)
+        with open(wfd, "wb") as pipe:
+            try:
+                for batch in reads:
+                    pickle.dump(batch, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+                last = None
+            except BaseException as exc:  # relayed; the parent raises it
+                last = exc
+            pickle.dump(last, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _located(exc, byte_offset) -> CorpusParseError:

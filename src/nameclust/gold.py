@@ -96,8 +96,7 @@ def write_gold(gold: GoldStandard, path) -> None:
         for bk, authors in gold.entries.items()
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n")
 
 
 def _is_author_map(authors) -> bool:

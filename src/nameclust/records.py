@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import operator
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,15 +23,11 @@ KINDS = (
     "other",
 )
 
-# trailing " NNNN" (one space, exactly four digits) marks a manually
-# disambiguated homonym; three or five digits do not count
-_SUFFIX_RE = re.compile(r"^(.*\S) (\d{4})$")
+# a mention's printed name without its gold suffix, and the suffix or None
+AuthorMention = collections.namedtuple("AuthorMention", ["surface_name", "gold_id"])
 
-
-@dataclass(frozen=True)
-class AuthorMention:
-    surface_name: str
-    gold_id: str | None
+# builds an AuthorMention without the Python-level __new__ namedtuple adds
+_mention = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -44,23 +40,24 @@ class RawRecord:
     mentions: tuple[AuthorMention, ...]
 
 
-def normalize_name(name: str) -> str:
-    """Trim and collapse internal whitespace. No diacritic folding."""
-    return " ".join(name.split())
-
-
 def parse_mention(raw: str) -> AuthorMention:
     """Split a printed author name into surface name and optional gold id.
 
-    "Wei Li 0002" -> ("Wei Li", "0002"); "Wei Li 123" has no suffix.
+    The name is trimmed and its inner whitespace collapsed to single
+    spaces (no diacritic folding). Then a trailing " NNNN", one space and
+    exactly four ASCII digits 0-9, marks a manually disambiguated
+    homonym: "Wei Li 0002" -> ("Wei Li", "0002"). Three or five digits,
+    and digits of other scripts, stay part of the name.
     """
-    name = normalize_name(raw)
+    name = " ".join(raw.split())
     if not name:
         raise MalformedMentionError(f"empty author mention: {raw!r}")
-    m = _SUFFIX_RE.match(name)
-    if m:
-        return AuthorMention(surface_name=m.group(1), gold_id=m.group(2))
-    return AuthorMention(surface_name=name, gold_id=None)
+    suffix = name[-4:]
+    # the collapsed name does not start with a space, so a space fifth
+    # from the end has a non-empty surface name before it
+    if name[-5:-4] == " " and suffix.isascii() and suffix.isdigit():
+        return _mention(AuthorMention, (name[:-5], suffix))
+    return _mention(AuthorMention, (name, None))
 
 
 def gold_key(mention: AuthorMention) -> str:
@@ -76,10 +73,10 @@ def record_to_json(rec: RawRecord) -> str:
     """The record as one line of JSON, equal to ``json.dumps(obj,
     ensure_ascii=False, sort_keys=True)`` of its fields: written piece by
     piece, keys in sorted order, with no dict and no generic encoder."""
-    authors = ", ".join(
+    authors = ", ".join([
         '{"gold_id": %s, "name": %s}'
-        % ("null" if m.gold_id is None else _string(m.gold_id), _string(m.surface_name))
-        for m in rec.mentions)
+        % ("null" if gold_id is None else _string(gold_id), _string(name))
+        for name, gold_id in rec.mentions])
     venue = "null" if rec.venue is None else _string(rec.venue)
     year = "null" if rec.year is None else str(rec.year)
     return (f'{{"authors": [{authors}], "id": {_string(rec.record_id)}, '

@@ -5,9 +5,12 @@ its graphs have at most 12 nodes so the set-partition argmax stays
 enumerable: bridged cliques, stars, paths, and planted two-community
 blocks with the {2, 1} weight scheme. ``shared_coauthor_corpus`` draws
 small corpora whose blocks share co-authors, ``hub_corpus`` corpora
-whose blocks share a few prolific co-authors.
+whose blocks share a few prolific co-authors. ``long_dblp_document`` is
+DBLP XML of many parser reads, and ``FailingStream`` a caller stream that
+fails part-way.
 """
 
+import io
 import itertools
 import random
 
@@ -115,3 +118,38 @@ def hub_corpus(rng):
             names.append(rng.choice(outer))
         records.append(rec(f"m{i:03d}", *names))
     return records
+
+
+def long_dblp_document(n_records=3000, seed=0):
+    """DBLP XML of ``n_records`` articles, each with a suffixed author, an
+    author with an entity and a title that does not compress, so that the
+    document and its gzip form both span many 16 KiB reads."""
+    rng = random.Random(seed)
+    parts = ['<?xml version="1.0"?>\n<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n']
+    for i in range(n_records):
+        parts.append(f'<article key="a/{i}"><author>Wei Li 000{i % 4 + 1}</author>'
+                     f"<author>Ren&eacute; {i % 97}</author>"
+                     f"<title>{rng.getrandbits(160):040x}</title><year>{1990 + i % 30}</year>"
+                     "</article>\n")
+    parts.append("</dblp>\n")
+    return "".join(parts).encode()
+
+
+class FailingStream(io.RawIOBase):
+    """A raw stream of ``data`` that calls ``fail`` on every read from
+    offset ``fail_at`` on; no read crosses that offset."""
+
+    def __init__(self, data, fail_at, fail):
+        self.data, self.pos, self.fail_at, self.fail = data, 0, fail_at, fail
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self.pos >= self.fail_at:
+            self.fail()
+        end = self.fail_at if self.pos < self.fail_at else len(self.data)
+        n = min(len(buffer), end - self.pos)
+        buffer[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n

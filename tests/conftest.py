@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from nameclust.records import AuthorMention, RawRecord
@@ -29,3 +31,26 @@ def fig1_records():
         rec("k/p4", "Eric Dubois 0001", "Bob B"),
         rec("k/p5", "Alice A", "Bob B"),
     ]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def no_child_left():
+    """True if this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True

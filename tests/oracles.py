@@ -5,8 +5,8 @@ the code paths under test: distances and similarity edges come from
 breadth-first search over an explicitly built networkx node graph,
 BCubed from pairwise counting, the best-modularity partition from
 exhaustive set-partition enumeration, Louvain from neighbour weights
-summed afresh at every visit, and DBLP records from an element tree of
-the whole document.
+summed afresh at every visit, DBLP records from an element tree of
+the whole document, and the gold suffix from its regular expression.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from __future__ import annotations
 import html.entities
 import itertools
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import networkx as nx
 
-from nameclust.records import RawRecord, parse_mention
+from nameclust.records import AuthorMention, RawRecord
 
 
 # -- bipartite distances -----------------------------------------------------
@@ -326,6 +327,18 @@ def oracle_louvain(nodes, edges, resolution=1.0, max_passes=100):
 # -- DBLP XML -----------------------------------------------------------------
 
 
+_SUFFIX_RE = re.compile(r"^(.*\S) ([0-9]{4})$")
+
+
+def oracle_mention(raw: str) -> tuple[str, str | None]:
+    """The (surface name, gold id) of a printed author name, by definition:
+    whitespace normalized, then one space and four ASCII digits after a
+    name that ends in a non-space mark the gold id."""
+    name = " ".join(raw.split())
+    m = _SUFFIX_RE.match(name)
+    return (m.group(1), m.group(2)) if m else (name, None)
+
+
 def oracle_dblp_records(doc: bytes) -> list[RawRecord]:
     """The records of a whole DBLP document, read from its element tree.
 
@@ -348,7 +361,7 @@ def oracle_dblp_records(doc: bytes) -> list[RawRecord]:
         for child in pub:
             text = "".join(child.itertext()).strip()
             if child.tag == "author" and text:
-                mentions.append(parse_mention(text))
+                mentions.append(AuthorMention(*oracle_mention(text)))
             elif child.tag == "title":
                 title = text
             elif child.tag in ("journal", "booktitle") and text:

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import io
 import json
@@ -12,6 +13,8 @@ import pytest
 
 import nameclust
 import nameclust.cli
+from cases import FailingStream, long_dblp_document
+from conftest import no_child_left
 from nameclust.cli import main, read_config
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
@@ -127,6 +130,73 @@ def test_ingest_replaces_existing_outputs(tmp_path, capsys):
         "dump.xml", "gold.json", "records.jsonl"]
     # the outputs get the mode any new file gets, as the input did
     assert {records.stat().st_mode, gold.stat().st_mode} == {xml.stat().st_mode}
+
+
+# -- ingest of documents longer than the first 16 KiB read, parsed in a child --
+
+
+@pytest.mark.parametrize("source", ["path", "gzip", "stdin"])
+def test_ingest_of_many_reads_leaves_no_child(tmp_path, monkeypatch, capsys, forks,
+                                              source):
+    doc = long_dblp_document()
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(doc)
+    if source == "gzip":
+        xml = tmp_path / "dump.xml.gz"
+        xml.write_bytes(gzip.compress(doc))
+    elif source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc)))
+        xml = "-"
+    records, gold = tmp_path / "records.jsonl", tmp_path / "gold.json"
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", gold) == 0
+    assert len(forks) == 1 and no_child_left()
+    ids = [json.loads(line)["id"] for line in records.read_text().splitlines()]
+    assert ids == [f"a/{i}" for i in range(3000)]
+    assert sorted(json.loads(gold.read_text())["Wei Li"]) == [
+        f"Wei Li 000{k}" for k in range(1, 5)]
+    assert capsys.readouterr().out == "ingest: 3000 records, 1 gold blocks, 4 gold authors\n"
+
+
+@pytest.mark.parametrize("damage", ["xml", "read"])
+def test_ingest_error_after_the_first_read_exits_2_leaving_no_child(
+        tmp_path, monkeypatch, capsys, forks, damage):
+    doc = long_dblp_document()
+    if damage == "xml":
+        xml = tmp_path / "bad.xml"
+        xml.write_bytes(doc[:-len("</dblp>\n")] + b'<article key="a/x"><author>B</artic')
+        message = "unclosed token (byte~"
+    else:
+        def fail():
+            raise OSError(errno.EIO, "simulated read failure")
+        stream = FailingStream(doc, 5 * 16 * 1024, fail)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(stream)))
+        xml = "-"
+        message = "[Errno 5] simulated read failure\n"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("ingest", "--input", xml, "--records-out", out / "records.jsonl",
+                   "--gold-out", out / "gold.json") == 2
+    assert len(forks) == 1 and no_child_left()
+    err = capsys.readouterr().err
+    assert err.startswith(f"nameclust: data error: {message}") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_ingest_process_writes_each_output_once(tmp_path, monkeypatch, capsys):
+    # the child leaves through os._exit, so the buffered records file and
+    # stdout it inherits are never flushed a second time
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(long_dblp_document())
+    done = _python(["-m", "nameclust.cli", "ingest", "--input", str(xml),
+                    "--records-out", str(tmp_path / "records.jsonl"),
+                    "--gold-out", str(tmp_path / "gold.json")])
+    assert done.stdout == "ingest: 3000 records, 1 gold blocks, 4 gold authors\n"
+    monkeypatch.delattr(os, "fork")
+    assert run_cli("ingest", "--input", xml, "--records-out", tmp_path / "alone.jsonl",
+                   "--gold-out", tmp_path / "alone.json") == 0
+    for name, alone in (("records.jsonl", "alone.jsonl"), ("gold.json", "alone.json")):
+        assert (tmp_path / name).read_bytes() == (tmp_path / alone).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv, message", [

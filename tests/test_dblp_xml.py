@@ -1,6 +1,9 @@
+import errno
 import gc
 import gzip
 import io
+import os
+import signal
 import tracemalloc
 import warnings
 
@@ -9,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cases import FailingStream, long_dblp_document
+from conftest import no_child_left
 from nameclust.dblp_xml import parse_dblp
 from nameclust.errors import CorpusParseError
 
@@ -256,3 +261,126 @@ def test_records_before_a_parse_error_are_yielded_first(tail):
         for rec in parse_dblp(io.BytesIO(doc)):
             ids.append(rec.record_id)
     assert ids == [f"a/{i}" for i in range(600)]
+
+
+# -- the forked child, on documents longer than the first 16 KiB read --------
+
+
+def _outcome(source):
+    """The records ``parse_dblp(source())`` yields and the error it ends with."""
+    records = []
+    with pytest.raises(Exception) as exc:
+        for rec in parse_dblp(source()):
+            records.append(rec)
+    return records, exc.value
+
+
+def _in_both_processes(source, monkeypatch, forks):
+    """The outcome of parsing ``source()`` with the forked child and with
+    every read in this process; the first must have forked."""
+    forked = _outcome(source)
+    assert len(forks) == 1 and no_child_left()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        alone = _outcome(source)
+    assert len(forks) == 1
+    return forked, alone
+
+
+def _where(err):
+    return type(err), str(err), err.byte_offset, err.line, err.column
+
+
+def test_long_document_parses_as_in_one_process(monkeypatch, forks):
+    doc = long_dblp_document()
+    assert len(doc) > 8 * 16 * 1024
+    for source in (doc, gzip.compress(doc)):
+        forked = list(parse_dblp(io.BytesIO(source)))
+        assert forks and no_child_left()
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert list(parse_dblp(io.BytesIO(source))) == forked
+        assert forked == oracles.oracle_dblp_records(doc)
+        forks.clear()
+
+
+@pytest.mark.parametrize("tail", [
+    b'<article key="a/x"><author>B</artic',  # found when the input ends
+    b'<article key="a/x"><author>B</title></article><article key="a/y"/></dblp>',
+])
+def test_malformed_xml_after_the_first_read_is_located_as_in_one_process(
+        tail, monkeypatch, forks):
+    doc = long_dblp_document()[:-len("</dblp>\n")] + tail
+    (records, err), (alone, alone_err) = _in_both_processes(
+        lambda: io.BytesIO(doc), monkeypatch, forks)
+    assert isinstance(err, CorpusParseError)
+    assert [r.record_id for r in records] == [f"a/{i}" for i in range(3000)]
+    assert records == alone
+    assert _where(err) == _where(alone_err)
+    assert err.byte_offset > 16 * 1024 and err.line > 1000
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "bad_crc"])
+def test_damaged_gzip_after_the_first_read_is_located_as_in_one_process(
+        damage, monkeypatch, forks):
+    # two gzip members, the second damaged as in test_damaged_gzip_reports_offset
+    doc = long_dblp_document()
+    half = len(doc) // 2
+    packed = bytearray(gzip.compress(doc[half:]))
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    elif damage == "corrupt":
+        packed[10:40] = bytes(30)
+    else:
+        packed[-8] ^= 1
+    packed = gzip.compress(doc[:half]) + packed
+    (records, err), (alone, alone_err) = _in_both_processes(
+        lambda: io.BytesIO(packed), monkeypatch, forks)
+    assert isinstance(err, CorpusParseError)
+    assert str(err).startswith("damaged gzip data: ")
+    assert len(records) > 100 and records == alone
+    assert _where(err) == _where(alone_err)
+
+
+def _raise_eio():
+    raise OSError(errno.EIO, "simulated read failure")
+
+
+def test_read_error_after_the_first_read_is_raised_as_in_one_process(monkeypatch, forks):
+    doc = long_dblp_document()
+    (records, err), (alone, alone_err) = _in_both_processes(
+        lambda: FailingStream(doc, 5 * 16 * 1024, _raise_eio), monkeypatch, forks)
+    assert type(err) is OSError
+    assert (err.errno, err.strerror, str(err)) == (
+        alone_err.errno, alone_err.strerror, str(alone_err))
+    assert str(err) == "[Errno 5] simulated read failure"
+    assert records == alone and len(records) > 100
+
+
+@pytest.mark.parametrize("how", ["close", "del"])
+def test_abandoned_iteration_leaves_no_child(how, forks):
+    records = parse_dblp(io.BytesIO(long_dblp_document()))
+    for _ in range(1000):  # well past the first read's records
+        next(records)
+    assert len(forks) == 1
+    if how == "close":
+        records.close()
+    else:
+        del records
+        gc.collect()
+    assert no_child_left()
+
+
+def test_killed_child_is_an_error_not_an_early_end(forks):
+    parent = os.getpid()
+
+    def kill_the_child():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    doc = long_dblp_document()
+    stream = FailingStream(doc, 5 * 16 * 1024, kill_the_child)
+    with pytest.raises(ChildProcessError, match="killed by signal 9"):
+        for _ in parse_dblp(stream):
+            pass
+    assert len(forks) == 1 and no_child_left()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from nameclust.errors import CorpusParseError, MalformedMentionError
 from nameclust.graph import load_graph
 from nameclust.records import (
@@ -51,16 +52,46 @@ def test_empty_mention_rejected(bad):
         parse_mention(bad)
 
 
+def _ascii_digits(s):
+    return s.isascii() and s.isdigit()
+
+
 @given(st.text(min_size=1).filter(lambda s: s.strip()))
+@example("a ¹²³⁴")  # superscripts: str.isdigit, but no gold suffix
+@example("Wei Li ١٢٣٤")  # Arabic-Indic digits
+@example("Wei Li １２３４")  # fullwidth digits
 def test_suffix_law(raw):
     # gold_id present implies the normalized string is exactly
-    # surface_name + " " + gold_id
+    # surface_name + " " + gold_id, and the suffix is four ASCII digits
     m = parse_mention(raw)
     if m.gold_id is not None:
         assert " ".join(raw.split()) == f"{m.surface_name} {m.gold_id}"
-        assert len(m.gold_id) == 4 and m.gold_id.isdigit()
+        assert len(m.gold_id) == 4 and _ascii_digits(m.gold_id)
     assert m.surface_name
-    assert not (m.surface_name[-5:-4] == " " and m.surface_name[-4:].isdigit())
+    assert not (m.surface_name[-5:-4] == " " and _ascii_digits(m.surface_name[-4:]))
+
+
+@pytest.mark.parametrize("raw", ["Wei Li ١٢٣٤", "Wei Li １２３４", "Wei Li ¹²³⁴"])
+def test_digits_of_other_scripts_are_no_suffix(raw):
+    assert parse_mention(raw) == AuthorMention(surface_name=raw, gold_id=None)
+
+
+# names ending in digits of several scripts, with mixed whitespace
+_MENTION_TEXT = st.lists(st.sampled_from([
+    "Wei", "Li", "a", "é", "0", "0001", "123", "12345", "١٢٣٤", "１２３４", "¹²³⁴",
+    "٣", "２", "9", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c"]),
+    min_size=1, max_size=8).map("".join)
+
+
+@given(_MENTION_TEXT)
+@example("Wei Li\u00a00002")
+@example("\u20031234\t")
+def test_parse_mention_equals_the_definitional_split(raw):
+    if not raw.split():
+        with pytest.raises(MalformedMentionError):
+            parse_mention(raw)
+        return
+    assert tuple(parse_mention(raw)) == oracles.oracle_mention(raw)
 
 
 def test_jsonl_round_trip(tmp_path):
