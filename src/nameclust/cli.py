@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -22,7 +23,8 @@ from .errors import CorpusParseError, DataIntegrityError, NameclustError
 from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, write_gold
 # read_records and build_graph are kept in this namespace for perfbench/tracer.py
 from .graph import build_graph, load_graph  # noqa: F401
-from .records import read_records, read_utf8, record_to_json, write_records  # noqa: F401
+from .records import (read_json, read_records, read_utf8, record_to_json,  # noqa: F401
+                      write_records)
 from .synth import SynthConfig, generate_corpus
 
 EXIT_OK = 0
@@ -177,7 +179,16 @@ def _inputs(args, choose):
     authored record, and every kept block name an author, in the records.
     The directory is made only once all of that has passed, so a data
     error leaves no directory."""
-    graph = load_graph(args.records)
+    # the graph holds no reference cycles and lives until the process
+    # exits, so no collection need scan it: none runs while it is built
+    # (in the child that reads half of it, too), and it is frozen out of
+    # every collection after
+    gc.disable()
+    try:
+        graph = load_graph(args.records)
+    finally:
+        gc.freeze()
+        gc.enable()
     blocks = choose(build_blocks(read_gold(args.gold)))
     missing = [(rid, b.block_key) for b in blocks for rid in b.members
                if rid not in graph.pub_index]
@@ -313,7 +324,7 @@ def _report_scores(path, value, where):
 
 def cmd_report(args) -> int:
     path = args.report
-    obj = json.loads(read_utf8(path, DataIntegrityError))
+    obj = read_json(path)
     keys = obj.keys() if isinstance(obj, dict) else ()
     if "thresholds" in keys:
         rows = []
@@ -420,7 +431,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"nameclust: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusParseError, DataIntegrityError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusParseError, DataIntegrityError, OSError) as exc:
         print(f"nameclust: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -26,6 +26,7 @@ import xml.etree.ElementTree as ET
 import zlib
 
 from .errors import CorpusParseError
+from .forked import forked
 from .records import KINDS, RawRecord, parse_mention
 
 _PUB_TAGS = frozenset(KINDS) - {"other"}
@@ -159,7 +160,7 @@ def parse_dblp(source):
         # a first read shorter than asked for met the end of the input,
         # and closing the parser is all that is left
         if hasattr(os, "fork") and stream.bytes_read == _READ_SIZE:
-            reads = owned.enter_context(contextlib.closing(_from_child(reads)))
+            reads = owned.enter_context(forked(reads))
         for batch in reads:
             for fields in batch:
                 yield _record(*fields)
@@ -190,77 +191,6 @@ def _parse(stream):
             raise _located(failure, stream.bytes_read) from failure
         if not chunk:
             return
-
-
-def _from_child(reads):
-    """Yield the rest of ``reads`` as a forked child makes it.
-
-    The child resumes ``reads`` and pickles each batch into a pipe, then
-    an end marker (None), or instead the exception that stopped it. Here
-    each batch is yielded as it arrives and a relayed exception is
-    raised. A pipe that ends without the end marker, or a child that does
-    not exit with status 0, raises ChildProcessError. The child is killed
-    if still running when this generator is closed, and always reaped.
-    """
-    import pickle
-    import signal
-
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        _serve(reads, wfd, rfd)
-    os.close(wfd)
-    status = None
-    try:
-        with open(rfd, "rb") as pipe:
-            while True:
-                try:
-                    message = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    message = False  # the pipe ended before or inside a message
-                if type(message) is not list:
-                    break
-                yield message
-        _, status = os.waitpid(pid, 0)
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if isinstance(message, BaseException):
-        raise message
-    code = os.waitstatus_to_exitcode(status)
-    if message is not None or code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise ChildProcessError(f"the XML parser process {how} before it finished")
-
-
-def _serve(reads, wfd, rfd):
-    """The forked child: send each batch of ``reads`` through ``wfd``,
-    then the end marker or the exception that stopped it, as
-    ``_from_child`` reads them. It leaves through ``os._exit``, so none of
-    the caller's cleanups, exit handlers or output buffers run here."""
-    status = 1
-    try:
-        import pickle
-
-        os.close(rfd)
-        with open(wfd, "wb") as pipe:
-            try:
-                for batch in reads:
-                    pickle.dump(batch, pipe, pickle.HIGHEST_PROTOCOL)
-                    pipe.flush()
-                last = None
-            except BaseException as exc:  # relayed; the parent raises it
-                last = exc
-            pickle.dump(last, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _located(exc, byte_offset) -> CorpusParseError:

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DataIntegrityError
-from .records import gold_key, read_utf8
+from .records import gold_key, read_json
 
 
 @dataclass
@@ -107,11 +107,11 @@ def _is_author_map(authors) -> bool:
 
 
 def read_gold(path) -> GoldStandard:
-    """Read ``write_gold``'s format; a file that is not UTF-8 or of
-    another shape, or a block with no gold author or a gold author with no
-    record id, raises ``DataIntegrityError`` naming the file (and the
-    first offending block)."""
-    obj = json.loads(read_utf8(path, DataIntegrityError))
+    """Read ``write_gold``'s format; a file that is not UTF-8, not JSON
+    or of another shape, or a block with no gold author or a gold author
+    with no record id, raises ``DataIntegrityError`` naming the file (and
+    the first offending block or the line and column of invalid JSON)."""
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise DataIntegrityError(f"{path}: gold file is not a JSON object of blocks")
     entries = {}

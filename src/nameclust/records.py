@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorpusParseError, MalformedMentionError
+from .errors import CorpusParseError, DataIntegrityError, MalformedMentionError
 
 KINDS = (
     "article",
@@ -178,7 +178,19 @@ def read_utf8(path, error) -> str:
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def read_lines(path, author):
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not UTF-8
+    text or not JSON raises ``DataIntegrityError`` with the path and the
+    offset, or the line and column, of the fault."""
+    text = read_utf8(path, DataIntegrityError)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataIntegrityError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, "
+                                 f"col {exc.colno})") from None
+
+
+def read_lines(path, author, start=0, stop=None, first_line=1):
     """Yield ``(fields, authors)`` for each record line of a JSONL file.
 
     ``fields`` is the line's (id, kind, title, venue, year, authors)
@@ -188,11 +200,21 @@ def read_lines(path, author):
     for every later mention of the pair. A malformed line (invalid UTF-8
     or JSON, or not a record) raises CorpusParseError with the path and
     its 1-based line.
+
+    Only the lines that begin in bytes ``[start, stop)`` of the file are
+    read (to its end if ``stop`` is None); ``start`` must be the start of
+    a line, which is line ``first_line`` of the file.
     """
     seen = {}
     # bytes, decoded line by line, so that invalid UTF-8 has a line number
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
+        if start:
+            fh.seek(start)
+        for lineno, line in enumerate(fh, first_line):
+            if stop is not None:
+                if start >= stop:
+                    break
+                start += len(line)
             if line.isspace():
                 continue
             try:

@@ -33,10 +33,8 @@ def fig1_records():
     ]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts during the test."""
-    pids = []
+def counting_fork(pids):
+    """``os.fork``, appending to ``pids`` the pid of each child it starts."""
     fork = os.fork
 
     def counted():
@@ -45,7 +43,14 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counted)
+    return counted
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test."""
+    pids = []
+    monkeypatch.setattr(os, "fork", counting_fork(pids))
     return pids
 
 

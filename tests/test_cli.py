@@ -3,8 +3,10 @@ import gzip
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -15,6 +17,7 @@ import nameclust
 import nameclust.cli
 from cases import FailingStream, long_dblp_document
 from conftest import no_child_left
+import nameclust.graph
 from nameclust.cli import main, read_config
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
@@ -600,6 +603,28 @@ def test_gold_not_utf8_exits_2(tmp_path, synth_corpus, capsys, argv):
     assert capsys.readouterr().err == f"nameclust: data error: {gold}: {NOT_UTF8}\n"
 
 
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_not_json_exits_2_with_location(tmp_path, synth_corpus, capsys, argv):
+    records, gold = synth_corpus
+    gold.write_text('{\n "Wei Li": x}\n')
+    out = tmp_path / "o"
+    assert run_cli(argv[0], "--records", records, "--gold", gold, "--out-dir", out,
+                   *argv[1:]) == 2
+    assert capsys.readouterr().err == (
+        f"nameclust: data error: {gold}: invalid JSON: Expecting value (line 2, col 12)\n")
+    assert not out.exists()
+
+
+def test_report_not_json_exits_2_with_location(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"before": {"p": 1,}}')
+    assert run_cli("report", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"nameclust: data error: {path}: invalid JSON: Expecting "
+                            f"property name enclosed in double quotes (line 1, col 20)\n")
+    assert captured.out == ""
+
+
 def test_report_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_bytes(b"\xff\xfe" + json.dumps({"before": 1}).encode())
@@ -681,4 +706,106 @@ def test_run_sample_too_large_creates_no_out_dir(tmp_path, synth_corpus, capsys)
     out = tmp_path / "o"
     assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", out,
                    "--sample-count", 10_000) == 1
+    assert not out.exists()
+
+
+# -- run and common-names read records.jsonl in two processes ---------------
+
+
+@pytest.fixture
+def large_corpus(tmp_path):
+    """A corpus of a few hundred records, whose second half a forked
+    child reads."""
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 20, "--bridge-rate", 0.2, "--seed", 3) == 0
+    return records, gold
+
+
+def _outputs(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_forked_load_leaves_no_child_and_changes_no_output(tmp_path, large_corpus,
+                                                           monkeypatch, capsys, forks,
+                                                           argv):
+    records, gold = large_corpus
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "forked", *argv[1:]) == 0
+    assert len(forks) == 1 and no_child_left()
+    forked_out = capsys.readouterr().out
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "alone", *argv[1:]) == 0
+    assert capsys.readouterr().out == forked_out
+    assert _outputs(tmp_path / "forked") == _outputs(tmp_path / "alone")
+
+
+def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, capsys, forks):
+    records, gold = large_corpus
+    assert run_cli("run", "--records", records, "--gold", gold,
+                   "--out-dir", tmp_path / "file") == 0
+    from_file = capsys.readouterr().out
+    forks.clear()
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(records.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert run_cli("run", "--records", fifo, "--gold", gold,
+                       "--out-dir", tmp_path / "fifo") == 0
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive() and forks == []
+    assert capsys.readouterr().out == from_file
+    assert _outputs(tmp_path / "fifo") == _outputs(tmp_path / "file")
+
+
+@pytest.mark.parametrize("at", [0.25, 0.75])
+@pytest.mark.parametrize("fault", ["json", "duplicate"])
+def test_data_error_in_either_half_exits_2_leaving_no_child(tmp_path, large_corpus,
+                                                            capsys, forks, at, fault):
+    records, gold = large_corpus
+    lines = records.read_text().splitlines()
+    bad = int(len(lines) * at)
+    if fault == "json":
+        lines[bad] = "{"
+        message = f"invalid JSON: Expecting property name enclosed in double quotes " \
+                  f"({records}; line {bad + 1}, col 1)"
+    else:
+        lines[bad] = lines[bad - 1]
+        message = f"record id {json.loads(lines[bad])['id']!r} occurs twice in the records"
+    records.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", out) == 2
+    assert len(forks) == 1 and no_child_left()
+    assert capsys.readouterr().err == f"nameclust: data error: {message}\n"
+    assert not out.exists()
+
+
+def test_records_child_killed_mid_load_exits_2_with_no_out_dir(tmp_path, large_corpus,
+                                                               monkeypatch, capsys, forks):
+    parent = os.getpid()
+    read_lines = nameclust.graph.read_lines
+
+    def killed_in_the_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_lines(*args)
+
+    monkeypatch.setattr(nameclust.graph, "read_lines", killed_in_the_child)
+    records, gold = large_corpus
+    out = tmp_path / "o"
+    assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", out) == 2
+    assert len(forks) == 1 and no_child_left()
+    assert capsys.readouterr().err == (
+        "nameclust: data error: a forked child process was killed by signal 9 before "
+        "it finished\n")
     assert not out.exists()
