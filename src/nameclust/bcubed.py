@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .cluster import Clustering
 from .gold import Block
 
-
-@dataclass(frozen=True)
-class BcubedScores:
-    precision: float
-    recall: float
-    f: float
+BcubedScores = collections.namedtuple("BcubedScores", ["precision", "recall", "f"])
 
 
 def f_measure(p: float, r: float, alpha: float = 0.5) -> float:

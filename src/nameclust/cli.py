@@ -25,7 +25,6 @@ from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, w
 from .graph import build_graph, load_graph  # noqa: F401
 from .records import (read_json, read_records, read_utf8, record_to_json,  # noqa: F401
                       write_records)
-from .synth import SynthConfig, generate_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,6 +150,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # imported here: no other command generates a corpus
+    from .synth import SynthConfig, generate_corpus
+
     cfg = SynthConfig(
         blocks=args.blocks,
         authors_per_block=(args.authors_min, args.authors_max),

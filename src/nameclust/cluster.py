@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .gold import Block
 from .graph import BipartiteGraph
 from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
 
 
-@dataclass
-class Clustering:
-    block_key: str
-    assignment: dict[str, str]
-    clusters: dict[str, frozenset[str]]
-    comparisons: int = 0
+# assignment: record id -> cluster id; clusters: cluster id -> frozenset
+# of record ids; comparisons: pairs of members decided
+Clustering = collections.namedtuple(
+    "Clustering", ["block_key", "assignment", "clusters", "comparisons"])
 
 
 def count_comparisons(blocks: list[Block]) -> int:
@@ -31,12 +29,7 @@ def groups_to_clustering(block_key, groups, comparisons=0) -> Clustering:
         clusters[cid] = frozenset(grp)
         for rid in grp:
             assignment[rid] = cid
-    return Clustering(
-        block_key=block_key,
-        assignment=assignment,
-        clusters=clusters,
-        comparisons=comparisons,
-    )
+    return Clustering(block_key, assignment, clusters, comparisons)
 
 
 def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:

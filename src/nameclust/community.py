@@ -27,7 +27,7 @@ string-node callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .cluster import Clustering, groups_to_clustering
 from .errors import UndefinedModularityError
@@ -38,21 +38,20 @@ from .graph import pubs_within  # noqa: F401  kept in this namespace for perfben
 MAX_PASSES = 100  # cap on Louvain aggregation levels
 
 
-@dataclass(frozen=True)
-class WeightedPubGraph:
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]  # keys (u, v) with u < v
+class WeightedPubGraph(collections.namedtuple("WeightedPubGraph", ["nodes", "edges"])):
+    """nodes: a tuple of record ids; edges: (u, v) with u < v -> weight."""
+
+    __slots__ = ()
 
     @property
     def total_weight(self) -> float:
         return sum(self.edges.values())
 
 
-@dataclass
-class Partition:
-    assignment: dict[str, int]  # node -> dense community id
-    q: float | None = None
-    passes: int = 0
+# assignment: node -> dense community id; q: modularity or None; passes:
+# Louvain levels run
+Partition = collections.namedtuple("Partition", ["assignment", "q", "passes"],
+                                   defaults=(None, 0))
 
 
 def _similarity_adjacency(b: Block, g: BipartiteGraph):

@@ -11,18 +11,18 @@ past it and ``os.fork`` exists, a forked child then parses the rest and
 sends each read's record fields back through a pipe, while the caller
 builds the records of the reads before it; the child, not the caller,
 reads the rest of the input.
+
+The XML and gzip modules are imported only when a parse starts, so a
+program that imports this module and never parses does not load them.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gzip
-import html.entities
 import io
 import os
 import sys
 import types
-import xml.etree.ElementTree as ET
 import zlib
 
 from .errors import CorpusParseError
@@ -36,13 +36,15 @@ _VENUE_TAGS = ("journal", "booktitle")
 # bytes handed to the parser per read
 _READ_SIZE = 16 * 1024
 
-# DBLP dumps use named entities declared in an external DTD that
-# ElementTree does not fetch; map the standard HTML set ourselves.
-_ENTITIES = {
-    name.rstrip(";"): value
-    for name, value in html.entities.html5.items()
-    if name.endswith(";")
-}
+
+def _entities() -> dict[str, str]:
+    """The standard HTML named entities, keyed without the ';'. DBLP dumps
+    use named entities declared in an external DTD that ElementTree does
+    not fetch, so the parser is given this set instead."""
+    import html.entities
+
+    return {name.rstrip(";"): value for name, value in html.entities.html5.items()
+            if name.endswith(";")}
 
 
 def _open_stream(source, owned: contextlib.ExitStack):
@@ -64,6 +66,8 @@ def _open_stream(source, owned: contextlib.ExitStack):
         buffered = io.BufferedReader(stream)
         owned.callback(buffered.detach)
     if buffered.peek(2)[:2] == b"\x1f\x8b":
+        import gzip
+
         return gzip.open(buffered)
     return buffered
 
@@ -121,8 +125,7 @@ def _record(key, kind, title, venue, year, authors) -> RawRecord:
             year = int(year)
         except ValueError:
             year = None
-    return RawRecord(record_id=key, kind=kind, title=title, venue=venue, year=year,
-                     mentions=tuple(map(parse_mention, authors)))
+    return RawRecord(key, kind, title, venue, year, tuple(map(parse_mention, authors)))
 
 
 class _CountingReader:
@@ -171,9 +174,12 @@ def _parse(stream):
     each read, the list of the field tuples of the records it completed;
     on an XML or gzip error, yield those completed before it, then raise
     a located CorpusParseError."""
+    import gzip
+    import xml.etree.ElementTree as ET
+
     done: list[tuple] = []
     parser = ET.XMLParser(target=_record_target(done))
-    parser.entity.update(_ENTITIES)
+    parser.entity.update(_entities())
     while True:
         failure = None
         try:
@@ -195,6 +201,8 @@ def _parse(stream):
 
 def _located(exc, byte_offset) -> CorpusParseError:
     """``exc``, an XML or gzip error, with the offset reached."""
+    import xml.etree.ElementTree as ET
+
     if not isinstance(exc, ET.ParseError):
         return CorpusParseError(f"damaged gzip data: {exc}", byte_offset=byte_offset)
     line, col = exc.position if exc.position else (None, None)

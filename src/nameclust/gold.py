@@ -2,30 +2,29 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import random
-from dataclasses import dataclass, field
 
 from .errors import DataIntegrityError
 from .records import gold_key, read_json
 
 
-@dataclass
-class GoldStandard:
-    """block_key -> gold author key -> set of record ids."""
+class GoldStandard(collections.namedtuple("GoldStandard", ["entries"])):
+    """entries: block_key -> gold author key -> set of record ids."""
 
-    entries: dict[str, dict[str, set[str]]] = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def author_count(self) -> int:
         return sum(len(keys) for keys in self.entries.values())
 
 
-@dataclass(frozen=True)
-class Block:
-    block_key: str
-    members: frozenset[str]
-    gold_label: dict[str, str]
+class Block(collections.namedtuple("Block", ["block_key", "members", "gold_label"])):
+    """A homonym block: its name, its record ids (a frozenset) and each
+    record id's gold author key."""
+
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -69,13 +68,7 @@ def build_blocks(gold: GoldStandard) -> list[Block]:
                         f"{author_key!r} in block {block_key!r}"
                     )
                 labels[rid] = author_key
-        blocks.append(
-            Block(
-                block_key=block_key,
-                members=frozenset(labels),
-                gold_label=labels,
-            )
-        )
+        blocks.append(Block(block_key, frozenset(labels), labels))
     return blocks
 
 

@@ -6,7 +6,6 @@ import collections
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusParseError, DataIntegrityError, MalformedMentionError
@@ -30,14 +29,37 @@ AuthorMention = collections.namedtuple("AuthorMention", ["surface_name", "gold_i
 _mention = tuple.__new__
 
 
-@dataclass(frozen=True)
+_RAW_FIELDS = ("record_id", "kind", "title", "venue", "year", "mentions")
+_raw_fields = operator.attrgetter(*_RAW_FIELDS)
+
+
 class RawRecord:
-    record_id: str
-    kind: str
-    title: str
-    venue: str | None
-    year: int | None
-    mentions: tuple[AuthorMention, ...]
+    """One publication: its key, kind, title, venue, year and author
+    mentions in order. Equal fields make equal records."""
+
+    # __weakref__: a caller may track records without keeping them alive
+    __slots__ = _RAW_FIELDS + ("__weakref__",)
+
+    def __init__(self, record_id: str, kind: str, title: str, venue: str | None,
+                 year: int | None, mentions: tuple[AuthorMention, ...]):
+        self.record_id = record_id
+        self.kind = kind
+        self.title = title
+        self.venue = venue
+        self.year = year
+        self.mentions = mentions
+
+    def __eq__(self, other):
+        if type(other) is not RawRecord:
+            return NotImplemented
+        return _raw_fields(self) == _raw_fields(other)
+
+    def __hash__(self):
+        return hash(_raw_fields(self))
+
+    def __repr__(self):
+        return "RawRecord(%s)" % ", ".join(
+            f"{name}={value!r}" for name, value in zip(_RAW_FIELDS, _raw_fields(self)))
 
 
 def parse_mention(raw: str) -> AuthorMention:
@@ -199,7 +221,8 @@ def read_lines(path, author, start=0, stop=None, first_line=1):
     id) pair, the first time the pair is seen, and its result is reused
     for every later mention of the pair. A malformed line (invalid UTF-8
     or JSON, or not a record) raises CorpusParseError with the path and
-    its 1-based line.
+    its 1-based line; invalid JSON also gives the 1-based column within
+    the line.
 
     Only the lines that begin in bytes ``[start, stop)`` of the file are
     read (to its end if ``stop`` is None); ``start`` must be the start of
@@ -229,8 +252,12 @@ def read_lines(path, author, start=0, stop=None, first_line=1):
                         value = seen[key] = author(*key)
                     values.append(value)
             except json.JSONDecodeError as exc:
+                # json.loads counts the line's newline as the start of a
+                # second line; a fault at or past it is placed just after
+                # the line's last character as shown
+                column = min(exc.pos, len(exc.doc.rstrip("\r\n"))) + 1
                 raise CorpusParseError(f"invalid JSON: {exc.msg}", path=path,
-                                       line=lineno, column=exc.colno) from exc
+                                       line=lineno, column=column) from exc
             except ValueError as exc:
                 raise CorpusParseError(str(exc), path=path, line=lineno) from exc
             yield fields, values
@@ -243,5 +270,4 @@ def read_records(path):
     line raises CorpusParseError, as in ``read_lines``.
     """
     for (record_id, kind, title, venue, year, _), mentions in read_lines(path, AuthorMention):
-        yield RawRecord(record_id=record_id, kind=kind, title=title, venue=venue,
-                        year=year, mentions=tuple(mentions))
+        yield RawRecord(record_id, kind, title, venue, year, tuple(mentions))

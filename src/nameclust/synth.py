@@ -10,23 +10,19 @@ different people's work.
 
 from __future__ import annotations
 
+import collections
 import random
-from dataclasses import dataclass
 
 from .records import AuthorMention, RawRecord, parse_mention
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    blocks: int = 10
-    authors_per_block: tuple[int, int] = (2, 4)
-    pubs_per_author: tuple[int, int] = (5, 15)
-    # private co-author pool size as a fraction of the author's pub count
-    pool_factor: float = 0.4
-    coauthors_per_pub: tuple[int, int] = (2, 3)
-    bridge_rate: float = 0.0
-    shared_pool_size: int = 4
-    seed: int = 0
+# pool_factor: private co-author pool size as a fraction of the author's
+# pub count; the pairs are (min, max) ranges
+SynthConfig = collections.namedtuple(
+    "SynthConfig",
+    ["blocks", "authors_per_block", "pubs_per_author", "pool_factor",
+     "coauthors_per_pub", "bridge_rate", "shared_pool_size", "seed"],
+    defaults=(10, (2, 4), (5, 15), 0.4, (2, 3), 0.0, 4, 0))
 
 
 def generate_corpus(cfg: SynthConfig) -> list[RawRecord]:

@@ -400,8 +400,10 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
 
 
 def test_cli_import_loads_no_numpy_or_scipy():
+    # nor what only ingest (the XML stack) or synth runs, nor dataclasses
     probe = ("import sys, nameclust.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('numpy', 'scipy', 'concurrent', 'logging')))")
+             "if m.split('.')[0] in ('numpy', 'scipy', 'concurrent', 'logging', "
+             "'dataclasses', 'xml', 'gzip', 'html') or m == 'nameclust.synth'))")
     assert _python(["-c", probe]).stdout.strip() == "[]"
     # the package root is only a version: it imports none of its modules
     probe = ("import sys, nameclust; "
@@ -778,7 +780,7 @@ def test_data_error_in_either_half_exits_2_leaving_no_child(tmp_path, large_corp
     if fault == "json":
         lines[bad] = "{"
         message = f"invalid JSON: Expecting property name enclosed in double quotes " \
-                  f"({records}; line {bad + 1}, col 1)"
+                  f"({records}; line {bad + 1}, col 2)"
     else:
         lines[bad] = lines[bad - 1]
         message = f"record id {json.loads(lines[bad])['id']!r} occurs twice in the records"

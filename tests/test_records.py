@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -116,6 +117,41 @@ def test_json_line_is_stable(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+_FIELDS = ("record_id", "kind", "title", "venue", "year", "mentions")
+_VALUES = ("a/1", "article", "T", "J", 2015, (AuthorMention("Wei Li", "0001"),))
+_OTHER = ("a/2", "www", "U", None, None, ())
+
+
+def test_raw_record_by_position_equals_by_keyword():
+    by_position = RawRecord(*_VALUES)
+    assert by_position == RawRecord(**dict(zip(_FIELDS, _VALUES)))
+    assert tuple(getattr(by_position, f) for f in _FIELDS) == _VALUES
+
+
+@pytest.mark.parametrize("i", range(len(_FIELDS)), ids=_FIELDS)
+def test_raw_records_differing_in_one_field_are_unequal(i):
+    values = list(_VALUES)
+    values[i] = _OTHER[i]
+    assert RawRecord(*values) != RawRecord(*_VALUES)
+    assert not RawRecord(*values) == RawRecord(*_VALUES)
+
+
+def test_equal_raw_records_hash_equal():
+    one, two = RawRecord(*_VALUES), RawRecord(*_VALUES)
+    assert one is not two and hash(one) == hash(two)
+    assert len({one, two, RawRecord(*_OTHER)}) == 2
+    # a record is not equal to a tuple of its fields
+    assert one != _VALUES
+
+
+def test_raw_record_is_weakly_referable_and_repr_names_its_fields():
+    r = RawRecord(*_VALUES)
+    assert weakref.ref(r)() is r
+    assert repr(r) == ("RawRecord(record_id='a/1', kind='article', title='T', venue='J', "
+                       "year=2015, mentions=(AuthorMention(surface_name='Wei Li', "
+                       "gold_id='0001'),))")
+
+
 # text rich in what JSON must escape, mixed with arbitrary text
 _TEXT = st.text(alphabet='"\\/\x00\x07\x1f\x7f\n\r\t\b\f\u2028é€😀 a0') | st.text()
 _RECORDS = st.builds(
@@ -228,6 +264,13 @@ def test_malformed_json_column_is_within_the_line(tmp_path):
     _, err = _errors_of_both_readers(path)
     assert (err.line, err.column) == (2, 7)
     assert "line 2, col 7" in str(err)
+    # a fault at the end of a line is just after its last character, with
+    # or without a newline (LF or CRLF) after it
+    for line, column in [("{\n", 2), ("{\r\n", 2), ("{", 2), ('{"id": \n', 8)]:
+        path.write_bytes((_with() + "\n" + line).encode())
+        _, err = _errors_of_both_readers(path)
+        assert (err.line, err.column) == (2, column), line
+        assert f"line 2, col {column})" in str(err)
 
 
 @pytest.mark.parametrize("text", [
@@ -238,19 +281,22 @@ def test_malformed_json_column_is_within_the_line(tmp_path):
     _with(id="a/2") + " x\n",
     _with(id="a/2") + "{}\n",
     "\ufeff" + _with(id="a/2") + "\n",
+    _with(id="a/2")[:-1] + ",\n",
 ], ids=["leading-space", "crlf", "trailing-space", "no-newline", "trailing-garbage",
-        "second-object", "bom"])
+        "second-object", "bom", "unclosed"])
 def test_line_decoding_agrees_with_json_loads(tmp_path, text):
     # the decoder parses with raw_decode and hands every line that leaves
     # more than its newline to json.loads, so each reader must give what
-    # json.loads gives
+    # json.loads gives, except that a fault json.loads places past the
+    # newline, on its line 2, is given just after the line's end
     path = tmp_path / "records.jsonl"
     path.write_bytes((_with() + "\n" + text).encode())
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         _, err = _errors_of_both_readers(path)
-        assert str(err) == f"invalid JSON: {exc.msg} ({path}; line 2, col {exc.colno})"
+        column = exc.colno if exc.lineno == 1 else len(text.rstrip("\r\n")) + 1
+        assert str(err) == f"invalid JSON: {exc.msg} ({path}; line 2, col {column})"
     else:
         assert [r.record_id for r in read_records(path)] == ["a/1", obj["id"]]
         assert load_graph(path).pub_keys == ["a/1", obj["id"]]
