@@ -16,10 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .bcubed import BcubedScores, block_scores, corpus_scores
-from .cluster import cluster_block, count_comparisons, write_clusters_tsv
+from .cluster import cluster_block, count_comparisons, groups_to_clustering, write_clusters_tsv
 from .community import refine_with_report
 from .dblp_xml import parse_dblp
 from .errors import CorpusParseError, DataIntegrityError, NameclustError
+from .forked import forked
 from .gold import build_blocks, build_gold_standard, read_gold, sample_blocks, write_gold
 # read_records and build_graph are kept in this namespace for perfbench/tracer.py
 from .graph import build_graph, load_graph  # noqa: F401
@@ -176,11 +177,9 @@ def cmd_synth(args) -> int:
 
 
 def _inputs(args, choose):
-    """The graph of ``--records``, the gold blocks of ``--gold`` that
-    ``choose`` keeps, and ``--out-dir``. Every kept gold record must be an
-    authored record, and every kept block name an author, in the records.
-    The directory is made only once all of that has passed, so a data
-    error leaves no directory."""
+    """The graph of ``--records`` and the gold blocks of ``--gold`` that
+    ``choose`` keeps. Every kept gold record must be an authored record,
+    and every kept block name an author, in the records."""
     # the graph holds no reference cycles and lives until the process
     # exits, so no collection need scan it: none runs while it is built
     # (in the child that reads half of it, too), and it is frozen out of
@@ -203,9 +202,73 @@ def _inputs(args, choose):
         if b.block_key not in graph.author_index:
             raise DataIntegrityError(
                 f"block {b.block_key!r} is not an author name in --records")
+    return graph, blocks
+
+
+def _out_dir(args) -> Path:
+    """``--out-dir``, made only once every block is done, so that an error
+    before then leaves no directory."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return graph, blocks, out_dir
+    return out_dir
+
+
+def _as_is(b, result):
+    return result
+
+
+def _per_block(blocks, job, pack=_as_is, unpack=_as_is):
+    """``[job(b) for b in blocks]``, on two cores where ``os.fork``
+    exists and there are two blocks or more.
+
+    The blocks are dealt largest first (by m, ties in block order)
+    alternately to this process and to one forked child. The child sends
+    ``pack(b, job(b))`` for each of its blocks in one message, and this
+    process, once its own share is done, puts ``unpack(b, sent)`` in its
+    place. An error in either share stops the command; when both shares
+    fail, this process's error is the one raised.
+    """
+    if not hasattr(os, "fork") or len(blocks) < 2:
+        return [job(b) for b in blocks]
+    order = sorted(range(len(blocks)), key=lambda i: -blocks[i].m)
+    mine, theirs = order[0::2], order[1::2]
+
+    def child_share():
+        yield [pack(blocks[i], job(blocks[i])) for i in theirs]
+
+    results = [None] * len(blocks)
+    with forked(child_share()) as received:
+        for i in mine:
+            results[i] = job(blocks[i])
+        (message,) = received
+    for i, sent in zip(theirs, message, strict=True):
+        results[i] = unpack(blocks[i], sent)
+    return results
+
+
+def _pack_run(b, per_threshold):
+    """A ``run`` block's (clustering, scores) at each threshold as
+    (labels, comparisons, scores): the labels number each member's
+    cluster in the order the clusters first occur, members sorted."""
+    members = sorted(b.members)
+    packed = []
+    for c, scores in per_threshold:
+        first = {}
+        packed.append(([first.setdefault(c.assignment[rid], len(first)) for rid in members],
+                       c.comparisons, scores))
+    return packed
+
+
+def _unpack_run(b, packed):
+    """The (clustering, scores) pairs that ``_pack_run`` packed."""
+    members = sorted(b.members)
+    per_threshold = []
+    for labels, comparisons, scores in packed:
+        groups = [[] for _ in range(max(labels, default=-1) + 1)]
+        for rid, label in zip(members, labels):
+            groups[label].append(rid)
+        per_threshold.append((groups_to_clustering(b.block_key, groups, comparisons), scores))
+    return per_threshold
 
 
 def cmd_run(args) -> int:
@@ -228,7 +291,17 @@ def cmd_run(args) -> int:
                 f"sample count {sample_count} exceeds {len(blocks)} available blocks")
         return sample_blocks(blocks, sample_count, seed)
 
-    graph, blocks, out_dir = _inputs(args, choose)
+    graph, blocks = _inputs(args, choose)
+
+    def job(b):
+        per_threshold = []
+        for t in thresholds:
+            c = cluster_block(b, graph, t)
+            per_threshold.append((c, block_scores(c, b, alpha)))
+        return per_threshold
+
+    results = _per_block(blocks, job, _pack_run, _unpack_run)
+    out_dir = _out_dir(args)
     blocks_by_key = {b.block_key: b for b in blocks}
     comparisons = count_comparisons(blocks)
     report = {
@@ -238,14 +311,14 @@ def cmd_run(args) -> int:
         "comparisons": comparisons,
         "thresholds": [],
     }
-    for t in thresholds:
-        clusterings = [cluster_block(b, graph, t) for b in blocks]
+    for k, t in enumerate(thresholds):
+        clusterings = [r[k][0] for r in results]
         observed = sum(c.comparisons for c in clusterings)
         if observed != comparisons:
             raise DataIntegrityError(
                 f"comparison audit failed: {observed} != {comparisons}")
         write_clusters_tsv(clusterings, blocks_by_key, out_dir / f"clusters_t{t}.tsv")
-        scores = [block_scores(c, b, alpha) for c, b in zip(clusterings, blocks)]
+        scores = [r[k][1] for r in results]
         per_block = [{"block_key": b.block_key, "m": b.m, **_triple(s)}
                      for b, s in zip(blocks, scores)]
         corpus = corpus_scores(scores)
@@ -266,8 +339,15 @@ def cmd_common_names(args) -> int:
     workers = _setting(args, config, "workers", 1, int)
     _check_settings([threshold], alpha, workers, resolution)
 
-    graph, blocks, out_dir = _inputs(
-        args, lambda blocks: [b for b in blocks if b.m > min_block_size])
+    graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])
+
+    def job(b):
+        base = cluster_block(b, graph, threshold)
+        refined, info = refine_with_report(b, base, graph, resolution)
+        return block_scores(base, b, alpha), block_scores(refined, b, alpha), info
+
+    results = _per_block(blocks, job)
+    out_dir = _out_dir(args)
     report = {
         "threshold": threshold,
         "alpha": alpha,
@@ -281,16 +361,11 @@ def cmd_common_names(args) -> int:
         print(f"common-names: no blocks larger than {min_block_size} publications")
         return EXIT_OK
 
-    base_scores, refined_scores, per_block = [], [], []
-    for b in blocks:
-        base = cluster_block(b, graph, threshold)
-        refined, info = refine_with_report(b, base, graph, resolution)
-        base_scores.append(block_scores(base, b, alpha))
-        refined_scores.append(block_scores(refined, b, alpha))
-        per_block.append({"block_key": b.block_key, "m": b.m, "before": _triple(base_scores[-1]),
-                          "after": _triple(refined_scores[-1]), **info})
-    before = corpus_scores(base_scores)
-    after = corpus_scores(refined_scores)
+    per_block = [{"block_key": b.block_key, "m": b.m, "before": _triple(base),
+                  "after": _triple(refined), **info}
+                 for b, (base, refined, info) in zip(blocks, results)]
+    before = corpus_scores([base for base, _, _ in results])
+    after = corpus_scores([refined for _, refined, _ in results])
     report["status"] = "ok"
     report["before"] = _triple(before)
     report["after"] = _triple(after)
@@ -358,8 +433,8 @@ def cmd_report(args) -> int:
 
 # -- argument wiring ---------------------------------------------------------
 
-WORKERS_HELP = ("accepted and checked (must be >= 1) but has no effect: "
-                "blocks always run one after another")
+WORKERS_HELP = ("accepted and checked (must be >= 1) but has no effect: the "
+                "blocks are shared between two processes where os.fork exists")
 
 
 def build_parser() -> _Parser:

@@ -1,8 +1,8 @@
 """Run a generator in a forked child and read what it yields.
 
-``parse_dblp`` and ``load_graph`` use this to put a second core to work:
-the child iterates a generator of lists, and the caller receives the
-lists, in order, through a pipe. Only lists, an end marker and an
+``parse_dblp``, ``load_graph`` and the CLI's per-block stage use this to
+put a second core to work: the child iterates a generator of lists, and
+the caller receives the lists, in order, through a pipe. Only lists, an end marker and an
 exception this program's own child pickled are ever unpickled.
 """
 

@@ -19,6 +19,8 @@ from cases import FailingStream, long_dblp_document
 from conftest import no_child_left
 import nameclust.graph
 from nameclust.cli import main, read_config
+from nameclust.errors import DataIntegrityError
+from nameclust.gold import build_blocks, read_gold
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
 
@@ -729,14 +731,17 @@ def _outputs(out):
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0],
+                                  ["run", "--threshold", 1, "--threshold", 3,
+                                   "--threshold", 5]])
 def test_forked_load_leaves_no_child_and_changes_no_output(tmp_path, large_corpus,
                                                            monkeypatch, capsys, forks,
                                                            argv):
+    # one fork reads half of the records, one clusters half of the blocks
     records, gold = large_corpus
     assert run_cli(argv[0], "--records", records, "--gold", gold,
                    "--out-dir", tmp_path / "forked", *argv[1:]) == 0
-    assert len(forks) == 1 and no_child_left()
+    assert len(forks) == 2 and no_child_left()
     forked_out = capsys.readouterr().out
     monkeypatch.delattr(os, "fork")
     assert run_cli(argv[0], "--records", records, "--gold", gold,
@@ -745,12 +750,22 @@ def test_forked_load_leaves_no_child_and_changes_no_output(tmp_path, large_corpu
     assert _outputs(tmp_path / "forked") == _outputs(tmp_path / "alone")
 
 
-def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, capsys, forks):
+def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, monkeypatch,
+                                                  capsys, forks):
     records, gold = large_corpus
     assert run_cli("run", "--records", records, "--gold", gold,
                    "--out-dir", tmp_path / "file") == 0
     from_file = capsys.readouterr().out
     forks.clear()
+    load_graph = nameclust.cli.load_graph
+    forks_at_load = []
+
+    def counted_load(path):
+        graph = load_graph(path)
+        forks_at_load.append(len(forks))
+        return graph
+
+    monkeypatch.setattr(nameclust.cli, "load_graph", counted_load)
     fifo = tmp_path / "records.fifo"
     os.mkfifo(fifo)
 
@@ -765,7 +780,9 @@ def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, capsys,
                        "--out-dir", tmp_path / "fifo") == 0
     finally:
         writer.join(timeout=60)
-    assert not writer.is_alive() and forks == []
+    # the load forked no child; the block stage forked one after it
+    assert not writer.is_alive() and forks_at_load == [0]
+    assert len(forks) == 1 and no_child_left()
     assert capsys.readouterr().out == from_file
     assert _outputs(tmp_path / "fifo") == _outputs(tmp_path / "file")
 
@@ -811,3 +828,92 @@ def test_records_child_killed_mid_load_exits_2_with_no_out_dir(tmp_path, large_c
         "nameclust: data error: a forked child process was killed by signal 9 before "
         "it finished\n")
     assert not out.exists()
+
+
+# -- run and common-names cluster the blocks in two processes ---------------
+
+
+BLOCK_STAGE_ARGVS = [["run", "--threshold", 1, "--threshold", 3, "--threshold", 5],
+                     ["common-names", "--min-block-size", 0]]
+
+
+def _child_share_key(gold):
+    """The key of the largest block that the block stage deals to its
+    forked child: the second largest, ties in block order."""
+    blocks = build_blocks(read_gold(gold))
+    return sorted(blocks, key=lambda b: -b.m)[1].block_key
+
+
+@pytest.mark.parametrize("argv", BLOCK_STAGE_ARGVS)
+def test_block_stage_child_killed_exits_2_with_no_out_dir(tmp_path, large_corpus,
+                                                          monkeypatch, capsys, forks, argv):
+    parent = os.getpid()
+    cluster_block = nameclust.cli.cluster_block
+
+    def killed_in_the_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return cluster_block(*args)
+
+    monkeypatch.setattr(nameclust.cli, "cluster_block", killed_in_the_child)
+    records, gold = large_corpus
+    out = tmp_path / "o"
+    assert run_cli(argv[0], "--records", records, "--gold", gold, "--out-dir", out,
+                   *argv[1:]) == 2
+    assert len(forks) == 2 and no_child_left()
+    assert capsys.readouterr().err == (
+        "nameclust: data error: a forked child process was killed by signal 9 before "
+        "it finished\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", BLOCK_STAGE_ARGVS)
+def test_block_stage_error_in_the_child_reads_as_in_one_process(tmp_path, large_corpus,
+                                                                monkeypatch, capsys, forks,
+                                                                argv):
+    records, gold = large_corpus
+    key = _child_share_key(gold)
+    parent = os.getpid()
+    block_scores = nameclust.cli.block_scores
+    raised_here = []
+
+    def failing(c, b, alpha):
+        if b.block_key == key:
+            if os.getpid() == parent:
+                raised_here.append(key)
+            raise DataIntegrityError(f"block {key!r} failed")
+        return block_scores(c, b, alpha)
+
+    monkeypatch.setattr(nameclust.cli, "block_scores", failing)
+    message = f"nameclust: data error: block {key!r} failed\n"
+    out = tmp_path / "o"
+    assert run_cli(argv[0], "--records", records, "--gold", gold, "--out-dir", out,
+                   *argv[1:]) == 2
+    # the forked child raised it and this process only relayed it
+    assert len(forks) == 2 and raised_here == [] and no_child_left()
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(argv[0], "--records", records, "--gold", gold, "--out-dir", out,
+                   *argv[1:]) == 2
+    assert raised_here == [key]
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_block_stage_outputs_identical_across_hash_seeds(tmp_path, large_corpus):
+    records, gold = large_corpus
+    runs = []
+    for hashseed in (1, 2):
+        out = tmp_path / f"h{hashseed}"
+        stdout = []
+        for argv in BLOCK_STAGE_ARGVS:
+            stdout.append(_python(["-m", "nameclust.cli", *map(str, argv), "--records",
+                                   str(records), "--gold", str(gold),
+                                   "--out-dir", str(out / argv[0])], hashseed).stdout)
+        runs.append((stdout, {str(f.relative_to(out)): f.read_bytes()
+                              for f in sorted(out.rglob("*")) if f.is_file()}))
+    assert sorted(runs[0][1]) == ["common-names/common_names.json", "run/clusters_t1.tsv",
+                                  "run/clusters_t3.tsv", "run/clusters_t5.tsv",
+                                  "run/report.json"]
+    assert runs[0] == runs[1]
