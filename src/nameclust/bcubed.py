@@ -69,6 +69,11 @@ def corpus_scores(per_block: list[BcubedScores]) -> BcubedScores:
     if not per_block:
         raise ValueError("cannot aggregate an empty list of block scores")
     n = len(per_block)
-    return BcubedScores(sum(s.precision for s in per_block) / n,
-                        sum(s.recall for s in per_block) / n,
-                        sum(s.f for s in per_block) / n)
+    # summed left to right: sum() adds floats with compensation since
+    # Python 3.12, which would change the last digit between versions
+    sum_p = sum_r = sum_f = 0.0
+    for s in per_block:
+        sum_p += s.precision
+        sum_r += s.recall
+        sum_f += s.f
+    return BcubedScores(sum_p / n, sum_r / n, sum_f / n)

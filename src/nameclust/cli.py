@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .bcubed import BcubedScores, block_scores, corpus_scores
-from .cluster import cluster_block, count_comparisons, groups_to_clustering, write_clusters_tsv
+from .cluster import cluster_block, count_comparisons, write_clusters_tsv
 from .community import refine_with_report
 from .dblp_xml import parse_dblp
 from .errors import CorpusParseError, DataIntegrityError, NameclustError
@@ -43,22 +43,43 @@ class UsageError(NameclustError):
     pass
 
 
+# every setting a --config file may hold, of any subcommand, with its
+# built-in default and its type
+SETTINGS = {
+    "min_gold_authors": (1, int),
+    "thresholds": ((1, 3), lambda s: [int(x) for x in s.split(",")]),
+    "sample_count": (None, int),
+    "seed": (0, int),
+    "alpha": (0.5, float),
+    "workers": (1, int),
+    "min_block_size": (200, int),
+    "threshold": (3, int),
+    "resolution": (1.0, float),
+}
+
+
 def read_config(path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat ``key = value`` file; '#' starts a comment. Every key must be
+    a setting of some subcommand, so that one file serves them all."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(read_utf8(path, UsageError).splitlines(), 1):
+    text = read_utf8(path, UsageError).removeprefix("\ufeff")
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown setting {key!r}")
+        out[key] = value.strip()
     return out
 
 
-def _setting(args, config, name, default, cast):
+def _setting(args, config, name):
     """Flag beats config file beats built-in default."""
+    default, cast = SETTINGS[name]
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
@@ -74,9 +95,11 @@ def _check_settings(thresholds, alpha, workers, resolution=1.0, sample_count=Non
     """Reject a bad ``run`` or ``common-names`` setting, from a flag or
     from ``--config``, before any input is read. The sample count's upper
     bound, the number of blocks, is checked once the gold file is read."""
-    for t in thresholds:
+    for k, t in enumerate(thresholds):
         if t < 1 or t % 2 == 0:
             raise UsageError(f"threshold must be odd and >= 1, got {t}")
+        if t in thresholds[:k]:
+            raise UsageError(f"threshold {t} given twice")
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
     if not (resolution > 0.0 and math.isfinite(resolution)):
@@ -119,7 +142,7 @@ def _fresh_file_beside(path, owned: contextlib.ExitStack) -> str:
 
 def cmd_ingest(args) -> int:
     config = read_config(args.config) if args.config else {}
-    min_gold = _setting(args, config, "min_gold_authors", 1, int)
+    min_gold = _setting(args, config, "min_gold_authors")
     n_records = 0
     # both files are written under temporary names and take their own
     # only once the whole dump has parsed, so a data error leaves neither
@@ -213,20 +236,16 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _as_is(b, result):
-    return result
-
-
-def _per_block(blocks, job, pack=_as_is, unpack=_as_is):
+def _per_block(blocks, job):
     """``[job(b) for b in blocks]``, on two cores where ``os.fork``
     exists and there are two blocks or more.
 
     The blocks are dealt largest first (by m, ties in block order)
     alternately to this process and to one forked child. The child sends
-    ``pack(b, job(b))`` for each of its blocks in one message, and this
-    process, once its own share is done, puts ``unpack(b, sent)`` in its
-    place. An error in either share stops the command; when both shares
-    fail, this process's error is the one raised.
+    its blocks' results in one message, and this process, once its own
+    share is done, puts each in its place. An error in either share stops
+    the command; when both shares fail, this process's error is the one
+    raised.
     """
     if not hasattr(os, "fork") or len(blocks) < 2:
         return [job(b) for b in blocks]
@@ -234,51 +253,25 @@ def _per_block(blocks, job, pack=_as_is, unpack=_as_is):
     mine, theirs = order[0::2], order[1::2]
 
     def child_share():
-        yield [pack(blocks[i], job(blocks[i])) for i in theirs]
+        yield [job(blocks[i]) for i in theirs]
 
     results = [None] * len(blocks)
     with forked(child_share()) as received:
         for i in mine:
             results[i] = job(blocks[i])
         (message,) = received
-    for i, sent in zip(theirs, message, strict=True):
-        results[i] = unpack(blocks[i], sent)
+    for i, result in zip(theirs, message, strict=True):
+        results[i] = result
     return results
-
-
-def _pack_run(b, per_threshold):
-    """A ``run`` block's (clustering, scores) at each threshold as
-    (labels, comparisons, scores): the labels number each member's
-    cluster in the order the clusters first occur, members sorted."""
-    members = sorted(b.members)
-    packed = []
-    for c, scores in per_threshold:
-        first = {}
-        packed.append(([first.setdefault(c.assignment[rid], len(first)) for rid in members],
-                       c.comparisons, scores))
-    return packed
-
-
-def _unpack_run(b, packed):
-    """The (clustering, scores) pairs that ``_pack_run`` packed."""
-    members = sorted(b.members)
-    per_threshold = []
-    for labels, comparisons, scores in packed:
-        groups = [[] for _ in range(max(labels, default=-1) + 1)]
-        for rid, label in zip(members, labels):
-            groups[label].append(rid)
-        per_threshold.append((groups_to_clustering(b.block_key, groups, comparisons), scores))
-    return per_threshold
 
 
 def cmd_run(args) -> int:
     config = read_config(args.config) if args.config else {}
-    thresholds = _setting(args, config, "thresholds", [1, 3],
-                          lambda s: [int(x) for x in s.split(",")])
-    sample_count = _setting(args, config, "sample_count", None, int)
-    seed = _setting(args, config, "seed", 0, int)
-    alpha = _setting(args, config, "alpha", 0.5, float)
-    workers = _setting(args, config, "workers", 1, int)
+    thresholds = _setting(args, config, "thresholds")
+    sample_count = _setting(args, config, "sample_count")
+    seed = _setting(args, config, "seed")
+    alpha = _setting(args, config, "alpha")
+    workers = _setting(args, config, "workers")
     _check_settings(thresholds, alpha, workers, sample_count=sample_count)
 
     def choose(blocks):
@@ -300,7 +293,7 @@ def cmd_run(args) -> int:
             per_threshold.append((c, block_scores(c, b, alpha)))
         return per_threshold
 
-    results = _per_block(blocks, job, _pack_run, _unpack_run)
+    results = _per_block(blocks, job)
     out_dir = _out_dir(args)
     blocks_by_key = {b.block_key: b for b in blocks}
     comparisons = count_comparisons(blocks)
@@ -332,11 +325,11 @@ def cmd_run(args) -> int:
 
 def cmd_common_names(args) -> int:
     config = read_config(args.config) if args.config else {}
-    min_block_size = _setting(args, config, "min_block_size", 200, int)
-    threshold = _setting(args, config, "threshold", 3, int)
-    alpha = _setting(args, config, "alpha", 0.5, float)
-    resolution = _setting(args, config, "resolution", 1.0, float)
-    workers = _setting(args, config, "workers", 1, int)
+    min_block_size = _setting(args, config, "min_block_size")
+    threshold = _setting(args, config, "threshold")
+    alpha = _setting(args, config, "alpha")
+    resolution = _setting(args, config, "resolution")
+    workers = _setting(args, config, "workers")
     _check_settings([threshold], alpha, workers, resolution)
 
     graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])

@@ -148,6 +148,13 @@ def test_corpus_macro_average():
     assert (c.precision, c.recall, c.f) == (0.75, 0.75, 0.75)
 
 
+def test_corpus_sums_left_to_right():
+    # a compensated sum (Python 3.12's sum()) reads 0.1 here, so the
+    # corpus scores would depend on the Python version
+    c = corpus_scores([BcubedScores(0.1, 0.1, 0.1)] * 10)
+    assert (c.precision, c.recall, c.f) == (0.09999999999999999,) * 3
+
+
 def test_corpus_empty_rejected():
     with pytest.raises(ValueError):
         corpus_scores([])

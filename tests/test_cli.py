@@ -18,9 +18,11 @@ import nameclust.cli
 from cases import FailingStream, long_dblp_document
 from conftest import no_child_left
 import nameclust.graph
-from nameclust.cli import main, read_config
+from nameclust.bcubed import block_scores
+from nameclust.cli import _per_block, main, read_config
+from nameclust.cluster import groups_to_clustering
 from nameclust.errors import DataIntegrityError
-from nameclust.gold import build_blocks, read_gold
+from nameclust.gold import Block, build_blocks, read_gold
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
 
@@ -329,6 +331,21 @@ def test_config_file_and_flag_precedence(tmp_path, synth_corpus):
     assert [t["threshold"] for t in report2["thresholds"]] == [3]
 
 
+def test_config_file_with_a_bom_and_another_commands_setting(tmp_path, synth_corpus):
+    # the BOM is no part of the first key, and a setting of common-names
+    # is accepted by run, so that one file serves both
+    records, gold = synth_corpus
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("thresholds = 1\nseed = 9\nresolution = 2\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfthresholds")
+    out = tmp_path / "out"
+    assert run_cli("run", "--records", records, "--gold", gold,
+                   "--out-dir", out, "--config", cfg) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [t["threshold"] for t in report["thresholds"]] == [1]
+    assert report["sample_seed"] == 9
+
+
 def test_read_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("just words\n")
@@ -551,6 +568,12 @@ def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, ca
     (["common-names", "--workers", -2], None, "workers must be >= 1, got -2"),
     (["run"], "workers = -2\n", "workers must be >= 1, got -2"),
     (["common-names"], "workers = 0\n", "workers must be >= 1, got 0"),
+    (["run", "--threshold", 1, "--threshold", 1], None, "threshold 1 given twice"),
+    (["run"], "thresholds = 3,1,3\n", "threshold 3 given twice"),
+    (["run"], "treshold = 5\n", "bad.conf:1: unknown setting 'treshold'"),
+    (["common-names"], "alpha = 0.5\n# a comment\nmin-blocksize = 5\n",
+     "bad.conf:3: unknown setting 'min_blocksize'"),
+    (["run"], "seed = 1\n\ufeffalpha = 0.5\n", "bad.conf:2: unknown setting '\\ufeffalpha'"),
 ])
 def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config,
                                                   message):
@@ -558,7 +581,7 @@ def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config
     # exit 2; the setting is rejected first
     extra = []
     if config is not None:
-        (tmp_path / "bad.conf").write_text(config)
+        (tmp_path / "bad.conf").write_text(config, encoding="utf-8")
         extra = ["--config", tmp_path / "bad.conf"]
     out = tmp_path / "out"
     assert run_cli(argv[0], "--records", tmp_path / "none.jsonl",
@@ -835,6 +858,51 @@ def test_records_child_killed_mid_load_exits_2_with_no_out_dir(tmp_path, large_c
 
 BLOCK_STAGE_ARGVS = [["run", "--threshold", 1, "--threshold", 3, "--threshold", 5],
                      ["common-names", "--min-block-size", 0]]
+
+
+def _blocks_of_sizes(sizes):
+    """Blocks b0, b1, ... of ``sizes`` members, whose gold authors take
+    the members in turn, three at a time."""
+    blocks = []
+    for k, m in enumerate(sizes):
+        labels = {f"b{k}/{j:02d}": f"b{k} {j % 3 + 1:04d}" for j in range(m)}
+        blocks.append(Block(f"b{k}", frozenset(labels), labels))
+    return blocks
+
+
+def _scored_clusterings(b):
+    """A ``run``-shaped result: (clustering, scores) for the block in
+    one cluster and in two."""
+    members = sorted(b.members)
+    pairs = []
+    for groups in ([members], [members[0::2], members[1::2]]):
+        c = groups_to_clustering(b.block_key, [g for g in groups if g], b.m * (b.m - 1) // 2)
+        pairs.append((c, block_scores(c, b, 0.5)))
+    return pairs
+
+
+@pytest.mark.parametrize("sizes", [[], [4], [5, 2], [2, 7, 3], [3, 3, 3, 3, 3]])
+@pytest.mark.parametrize("job", [lambda b: (b.block_key, sorted(b.members)),
+                                 _scored_clusterings])
+@pytest.mark.parametrize("fork", [True, False])
+def test_per_block_equals_the_list_in_one_process(monkeypatch, forks, sizes, job, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    blocks = _blocks_of_sizes(sizes)
+    expected = [job(b) for b in blocks]
+    assert _per_block(blocks, job) == expected
+    assert len(forks) == (fork and len(blocks) >= 2) and no_child_left()
+
+
+def test_per_block_deals_ties_in_block_order(forks):
+    # the largest block stays here, then the child and this process take
+    # turns; equal blocks go in block order
+    parent = os.getpid()
+    blocks = _blocks_of_sizes([3, 3, 5, 3, 3])
+    dealt = _per_block(blocks, lambda b: (b.block_key, os.getpid() != parent))
+    assert dealt == [("b0", True), ("b1", False), ("b2", False), ("b3", True),
+                     ("b4", False)]
+    assert len(forks) == 1 and no_child_left()
 
 
 def _child_share_key(gold):
