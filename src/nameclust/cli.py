@@ -143,6 +143,8 @@ def _fresh_file_beside(path, owned: contextlib.ExitStack) -> str:
 def cmd_ingest(args) -> int:
     config = read_config(args.config) if args.config else {}
     min_gold = _setting(args, config, "min_gold_authors")
+    if min_gold < 1:
+        raise UsageError(f"min gold authors must be >= 1, got {min_gold}")
     n_records = 0
     # both files are written under temporary names and take their own
     # only once the whole dump has parsed, so a data error leaves neither

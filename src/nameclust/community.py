@@ -7,8 +7,9 @@ co-author links, and greedy modularity maximization regroups the block.
 The pipeline refines each block on dense integer ids from start to
 finish: a list-of-dict adjacency over the block's members, Louvain on
 that adjacency, and modularity read from Louvain's own state. Work
-whose answer is already known is not redone. The adjacency expands
-each author once per block, not once per member that has the author.
+whose answer is already known is not redone. The adjacency reads the
+publication list of each non-focal author of the block's members once
+per block, and no other author's.
 After its first sweep, a level of Louvain keeps each node's weight to
 each neighbouring community current as nodes move, instead of
 rescanning every neighbour at every visit, and the next level is read
@@ -61,30 +62,29 @@ def _similarity_adjacency(b: Block, g: BipartiteGraph):
     than the block's own author node, 1.0 when they are co-author-of-
     co-author linked at minimal order 2, and absent otherwise.
 
-    Each author a met is expanded once: ``near[a]`` holds the members
-    among a's publications, ``far[a]`` the union of ``near`` over a's
-    co-authors other than the block's own author. A member's weight-2
-    set is the union of ``near`` over its non-focal authors, its weight-1
-    set the union of ``far`` over them less the weight-2 set; whatever
-    one of its own authors reaches is already in the weight-2 set."""
+    ``near[a]`` holds the members that author a wrote, for each non-focal
+    author a of a member, read off the members' own author lists;
+    ``far[a]`` is the union of ``near`` over the authors of a's
+    publications, so each such author's publication list is read once.
+    A member's weight-2 set is the union of ``near`` over its non-focal
+    authors, its weight-1 set the union of ``far`` over them less the
+    weight-2 set; whatever one of its own authors reaches is already in
+    the weight-2 set."""
     nodes = sorted(b.members)
     excluded = g.author_id(b.block_key)
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
-    local = {g.pub_id(rid): i for i, rid in enumerate(nodes)}
+    member_authors = [[a for a in pub_authors[g.pub_id(rid)] if a != excluded]
+                      for rid in nodes]
     near: dict[int, set[int]] = {}
-    far: dict[int, set[int]] = {}
-    adj: list[dict[int, float]] = []
-    for i, p in enumerate(local):
-        authors = [a for a in pub_authors[p] if a != excluded]
+    for i, authors in enumerate(member_authors):
         for a in authors:
-            if a in far:
-                continue
-            coauthors = set().union(*[pub_authors[q] for q in author_pubs[a]])
-            coauthors.discard(excluded)
-            for c in coauthors:
-                if c not in near:
-                    near[c] = {local[q] for q in author_pubs[c] if q in local}
-            far[a] = set().union(*[near[c] for c in coauthors])
+            near.setdefault(a, set()).add(i)
+    far: dict[int, set[int]] = {}
+    for a in near:
+        coauthors = {c for q in author_pubs[a] for c in pub_authors[q]}
+        far[a] = set().union(*[near[c] for c in coauthors if c in near])
+    adj: list[dict[int, float]] = []
+    for i, authors in enumerate(member_authors):
         strong = set().union(*[near[a] for a in authors])
         weak = set().union(*[far[a] for a in authors])
         weak -= strong

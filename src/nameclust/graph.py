@@ -1,4 +1,4 @@
-"""Bipartite author-publication network with bounded distance queries.
+"""Bipartite author-publication network and its bounded co-author reach.
 
 The graph is immutable after construction. Adjacency is two lists of
 sorted id tuples over dense integer ids; publication ids follow sorted
@@ -8,15 +8,12 @@ order (and every downstream tie-break) is deterministic.
 
 from __future__ import annotations
 
-import math
 import os
 import stat
 
 from .errors import DataIntegrityError, UnknownNodeError
 from .forked import forked
 from .records import read_lines
-
-INFINITE = math.inf
 
 # bytes read at a time while counting the lines before the child's part
 _CHUNK = 1 << 20
@@ -200,59 +197,35 @@ def _tail(path, start):
         yield [keys, authors, list(names)]
 
 
-def _reach(g: BipartiteGraph, src: int, max_hops: int, excluded: int) -> dict[int, int]:
-    """Publications within ``max_hops`` publication hops of ``src``.
-
-    Breadth-first over sorted adjacency; the author id ``excluded`` (or
-    -1 for none) is never traversed. Maps publication id to hop count in
-    visiting order; ``src`` itself is not included.
-    """
-    hops = {src: 0}
-    seen_auths = set()
-    frontier = [src]
-    for hop in range(1, max_hops + 1):
-        nxt = []
-        for p in frontier:
-            for a in g.pub_authors[p]:
-                if a == excluded or a in seen_auths:
-                    continue
-                seen_auths.add(a)
-                for q in g.author_pubs[a]:
-                    if q not in hops:
-                        hops[q] = hop
-                        nxt.append(q)
-        if not nxt:
-            break
-        frontier = nxt
-    del hops[src]
-    return hops
-
-
-def pub_distance(g: BipartiteGraph, p1: str, p2: str, max_d: int = 3,
-                 excluded_author: str | None = None):
-    """Intermediate-node count on the shortest path p1..p2, or INFINITE.
-
-    Finite distances are always odd (paths alternate pub-author-pub).
-    """
-    if p1 == p2:
-        raise ValueError("distance is defined between two distinct publications")
-    if max_d < 1 or max_d % 2 == 0:
-        raise ValueError("distance bound must be odd and >= 1")
-    src = g.pub_id(p1)
-    dst = g.pub_id(p2)
-    excl = g.author_id(excluded_author)
-    hop = _reach(g, src, (max_d + 1) // 2, excl).get(dst)
-    return INFINITE if hop is None else 2 * hop - 1
-
-
 def pubs_within(g: BipartiteGraph, p: str, k: int,
                 excluded_author: str | None = None) -> dict[str, int]:
     """All publications at co-author order <= k, mapped to minimal order.
 
-    Order k corresponds to intermediate-node distance 2k - 1.
+    Order k corresponds to intermediate-node distance 2k - 1. Breadth-
+    first over sorted adjacency, so the map is in visiting order; the
+    author ``excluded_author`` (None for none) is never traversed, and
+    ``p`` itself is not included.
     """
     if k < 1:
         raise ValueError("co-author order must be >= 1")
     src = g.pub_id(p)
-    excl = g.author_id(excluded_author)
-    return {g.pub_keys[q]: hop for q, hop in _reach(g, src, k, excl).items()}
+    excluded = g.author_id(excluded_author)
+    hops = {src: 0}
+    seen_auths = set()
+    frontier = [src]
+    for hop in range(1, k + 1):
+        nxt = []
+        for q in frontier:
+            for a in g.pub_authors[q]:
+                if a == excluded or a in seen_auths:
+                    continue
+                seen_auths.add(a)
+                for r in g.author_pubs[a]:
+                    if r not in hops:
+                        hops[r] = hop
+                        nxt.append(r)
+        if not nxt:
+            break
+        frontier = nxt
+    del hops[src]
+    return {g.pub_keys[q]: hop for q, hop in hops.items()}

@@ -11,6 +11,7 @@ different people's work.
 from __future__ import annotations
 
 import collections
+import math
 import random
 
 from .records import AuthorMention, RawRecord, parse_mention
@@ -27,6 +28,10 @@ SynthConfig = collections.namedtuple(
 
 def generate_corpus(cfg: SynthConfig) -> list[RawRecord]:
     """Deterministic per seed; gold ids ride on the focal mentions."""
+    if cfg.blocks < 0:
+        raise ValueError(f"blocks must be >= 0, got {cfg.blocks}")
+    if not (cfg.pool_factor >= 0.0 and math.isfinite(cfg.pool_factor)):
+        raise ValueError(f"pool factor must be finite and >= 0, got {cfg.pool_factor}")
     if not 0.0 <= cfg.bridge_rate <= 1.0:
         raise ValueError(f"bridge rate must be in [0, 1], got {cfg.bridge_rate}")
     for what, (lo, hi) in (("authors per block", cfg.authors_per_block),

@@ -114,6 +114,25 @@ def test_ingest_data_error_leaves_no_partial_output(tmp_path, capsys, existing):
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, config, n", [
+    (["--min-gold-authors", -3], None, -3),
+    ([], "min_gold_authors = 0\n", 0),
+], ids=["flag", "config"])
+def test_ingest_min_gold_authors_below_1_exits_1(tmp_path, capsys, argv, config, n):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(MINIMAL_XML)
+    if config is not None:
+        (tmp_path / "bad.conf").write_text(config, encoding="utf-8")
+        argv = ["--config", tmp_path / "bad.conf"]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("ingest", "--input", xml, "--records-out", out / "records.jsonl",
+                   "--gold-out", out / "gold.json", *argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"nameclust: error: min gold authors must be >= 1, got {n}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_ingest_into_missing_directory_names_the_output(tmp_path, capsys):
     xml = tmp_path / "dump.xml"
     xml.write_bytes(MINIMAL_XML)
@@ -212,6 +231,10 @@ def test_ingest_process_writes_each_output_once(tmp_path, monkeypatch, capsys):
     (["--authors-min", 5, "--authors-max", 2], "authors per block must satisfy"),
     (["--coauthors-min", 4, "--coauthors-max", 3], "co-authors per publication must"),
     (["--shared-pool", 0, "--bridge-rate", 0.5], "needs a shared pool of at least 1"),
+    (["--pool-factor", "inf"], "pool factor must be finite and >= 0, got inf"),
+    (["--pool-factor", "nan"], "pool factor must be finite and >= 0, got nan"),
+    (["--pool-factor", -5], "pool factor must be finite and >= 0, got -5.0"),
+    (["--blocks", -2], "blocks must be >= 0, got -2"),
 ])
 def test_synth_bad_argument_exits_1(tmp_path, capsys, argv, message):
     records = tmp_path / "r.jsonl"

@@ -13,7 +13,7 @@ from nameclust.cluster import (
     write_clusters_tsv,
 )
 from nameclust.gold import Block, build_blocks, build_gold_standard
-from nameclust.graph import build_graph, pub_distance
+from nameclust.graph import build_graph, pubs_within
 from nameclust.synth import SynthConfig, generate_corpus
 
 
@@ -131,7 +131,7 @@ def test_order_independence():
         near = nx.Graph()
         near.add_nodes_from(members)
         near.add_edges_from((p, q) for p, q in pairs
-                            if pub_distance(graph, p, q, 3, block.block_key) <= 3)
+                            if q in pubs_within(graph, p, 2, block.block_key))
         shuffled = groups_to_clustering(block.block_key, nx.connected_components(near))
         assert shuffled.clusters == base.clusters
 
@@ -151,7 +151,7 @@ def test_distance_5_chain_stays_split_at_threshold_3():
     ]
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    assert pub_distance(graph, "p1", "p2", 5, "F Name") == 5
+    assert pubs_within(graph, "p1", 3, "F Name")["p2"] == 3
     nxg = oracles.build_nx_graph(records)
     for threshold, want in ((1, [["p1"], ["p2"]]), (3, [["p1"], ["p2"]]),
                             (5, [["p1", "p2"]])):

@@ -121,6 +121,35 @@ def test_similarity_graph_matches_bfs_oracle_hub_coauthors():
     assert weights.count(2.0) > 3_000 and weights.count(1.0) > 3_000
 
 
+class _RecordingList(list):
+    """A list that records each index it is asked for."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.asked = []
+
+    def __getitem__(self, i):
+        self.asked.append(i)
+        return super().__getitem__(i)
+
+
+def test_similarity_graph_reads_only_the_members_authors():
+    # a hub's many publications outside the block are never read, and the
+    # publication list of each author of a member is read once
+    rng = random.Random(19)
+    for _ in range(30):
+        records = cases.hub_corpus(rng)
+        graph = build_graph(records)
+        for block in build_blocks(build_gold_standard(records)):
+            focal = graph.author_id(block.block_key)
+            a1 = {a for rid in block.members for a in graph.pub_authors[graph.pub_id(rid)]
+                  if a != focal}
+            graph.author_pubs = _RecordingList(graph.author_pubs)
+            build_similarity_graph(block, graph)
+            asked = graph.author_pubs.asked
+            assert set(asked) <= a1 and len(asked) == len(set(asked)), block.block_key
+
+
 # -- modularity --------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import oracles
 from conftest import counting_fork, no_child_left, rec
 from nameclust import graph
 from nameclust.errors import CorpusParseError, DataIntegrityError, UnknownNodeError
-from nameclust.graph import INFINITE, build_graph, load_graph, pub_distance, pubs_within
+from nameclust.graph import build_graph, load_graph, pubs_within
 from nameclust.records import (AuthorMention, RawRecord, read_records, record_to_json,
                                write_records)
 from nameclust.synth import SynthConfig, generate_corpus
@@ -276,40 +276,37 @@ def test_duplicate_names_collapse_to_one_edge():
     assert len(g.pub_authors[g.pub_id("p1")]) == 2
 
 
+def _distance(g, p1, p2, t, focal):
+    """Intermediate-node count on the shortest p1..p2 path not through
+    ``focal`` if it is at most the odd bound ``t``, else ``math.inf``."""
+    hop = pubs_within(g, p1, (t + 1) // 2, focal).get(p2)
+    return math.inf if hop is None else 2 * hop - 1
+
+
 def test_shared_coauthor_distance_is_1(fig1_graph):
-    assert pub_distance(fig1_graph, "k/p1", "k/p2", 3, "Daniel Schall") == 1
+    assert _distance(fig1_graph, "k/p1", "k/p2", 3, "Daniel Schall") == 1
 
 
 def test_coauthor_of_coauthor_distance_is_3(fig1_graph):
-    assert pub_distance(fig1_graph, "k/p3", "k/p4", 3, "Eric Dubois") == 3
+    assert _distance(fig1_graph, "k/p3", "k/p4", 3, "Eric Dubois") == 3
     # tighter bound cannot see the longer path
-    assert pub_distance(fig1_graph, "k/p3", "k/p4", 1, "Eric Dubois") == INFINITE
+    assert _distance(fig1_graph, "k/p3", "k/p4", 1, "Eric Dubois") == math.inf
 
 
 def test_focal_exclusion_matters(fig1_graph):
     # without the exclusion the shared ambiguous name makes them adjacent
-    assert pub_distance(fig1_graph, "k/p3", "k/p4", 3, None) == 1
+    assert _distance(fig1_graph, "k/p3", "k/p4", 3, None) == 1
 
 
 def test_no_path_is_infinite(fig1_graph):
-    assert pub_distance(fig1_graph, "k/p1", "k/p3", 3, None) == INFINITE
+    assert _distance(fig1_graph, "k/p1", "k/p3", 3, None) == math.inf
 
 
 def test_unknown_nodes_rejected(fig1_graph):
     with pytest.raises(UnknownNodeError):
-        pub_distance(fig1_graph, "k/p1", "nope", 3, None)
+        pubs_within(fig1_graph, "nope", 2, None)
     with pytest.raises(UnknownNodeError):
         pubs_within(fig1_graph, "k/p1", 1, "No Such Name")
-
-
-def test_same_pub_rejected(fig1_graph):
-    with pytest.raises(ValueError):
-        pub_distance(fig1_graph, "k/p1", "k/p1", 3, None)
-
-
-def test_even_bound_rejected(fig1_graph):
-    with pytest.raises(ValueError):
-        pub_distance(fig1_graph, "k/p1", "k/p2", 2, None)
 
 
 def test_pubs_within_order1(fig1_graph):
@@ -344,7 +341,7 @@ def test_oracle_equivalence_on_random_graphs(seed):
     for _ in range(150):
         p1, p2 = rng.sample(pubs, 2)
         for max_d in (1, 3, 5):
-            got = pub_distance(g, p1, p2, max_d, focal)
+            got = _distance(g, p1, p2, max_d, focal)
             want = oracles.oracle_distance(nxg, p1, p2, focal)
             if want > max_d:
                 want = math.inf
@@ -358,10 +355,10 @@ def test_symmetry_and_oddness():
     pubs = [r.record_id for r in records]
     for _ in range(200):
         p1, p2 = rng.sample(pubs, 2)
-        d12 = pub_distance(g, p1, p2, 5, None)
-        d21 = pub_distance(g, p2, p1, 5, None)
+        d12 = _distance(g, p1, p2, 5, None)
+        d21 = _distance(g, p2, p1, 5, None)
         assert d12 == d21
-        if d12 != INFINITE:
+        if d12 != math.inf:
             assert d12 % 2 == 1
 
 
@@ -372,7 +369,7 @@ def test_monotonicity_in_bound():
     pubs = [r.record_id for r in records]
     for _ in range(200):
         p1, p2 = rng.sample(pubs, 2)
-        d_small = pub_distance(g, p1, p2, 1, None)
-        d_big = pub_distance(g, p1, p2, 5, None)
-        if d_small != INFINITE:
+        d_small = _distance(g, p1, p2, 1, None)
+        d_big = _distance(g, p1, p2, 5, None)
+        if d_small != math.inf:
             assert d_big == d_small
