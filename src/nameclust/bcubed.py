@@ -35,10 +35,10 @@ def item_scores(c: Clustering, b: Block, e: str, alpha: float = 0.5) -> BcubedSc
         raise KeyError(f"{e!r} is not a member of block {b.block_key!r}")
     cid = c.assignment[e]
     label = b.gold_label[e]
-    cluster_size = len(c.clusters[cid])
+    mates = [rid for rid, other in c.assignment.items() if other == cid]
     class_size = sum(1 for lab in b.gold_label.values() if lab == label)
-    inter = sum(1 for rid in c.clusters[cid] if b.gold_label[rid] == label)
-    p = inter / cluster_size
+    inter = sum(1 for rid in mates if b.gold_label[rid] == label)
+    p = inter / len(mates)
     r = inter / class_size
     return BcubedScores(p, r, f_measure(p, r, alpha))
 
@@ -47,6 +47,7 @@ def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
     """Arithmetic mean of the item scores over the block's publications;
     F is averaged per item, not taken from the mean P and R."""
     counts = _intersections(c, b)
+    cluster_sizes = {cid: sum(per.values()) for cid, per in counts.items()}
     class_sizes: dict[str, int] = {}
     for label in b.gold_label.values():
         class_sizes[label] = class_sizes.get(label, 0) + 1
@@ -56,7 +57,7 @@ def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
         cid = c.assignment[rid]
         label = b.gold_label[rid]
         inter = counts[cid][label]
-        p = inter / len(c.clusters[cid])
+        p = inter / cluster_sizes[cid]
         r = inter / class_sizes[label]
         sum_p += p
         sum_r += r

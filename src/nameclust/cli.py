@@ -166,8 +166,8 @@ def cmd_ingest(args) -> int:
         write_gold(gold, gold_tmp)
         os.replace(records_tmp, args.records_out)
         os.replace(gold_tmp, args.gold_out)
-    n_authors = gold.author_count
-    print(f"ingest: {n_records} records, {len(gold.entries)} gold blocks, "
+    n_authors = sum(map(len, gold.values()))
+    print(f"ingest: {n_records} records, {len(gold)} gold blocks, "
           f"{n_authors} gold authors")
     if n_authors == 0:
         print("warning: no suffix-identified authors found; gold standard is empty",
@@ -196,8 +196,8 @@ def cmd_synth(args) -> int:
     write_records(records, args.records_out)
     gold = build_gold_standard(records)
     write_gold(gold, args.gold_out)
-    print(f"synth: {len(records)} records, {len(gold.entries)} blocks, "
-          f"{gold.author_count} planted authors (seed {cfg.seed})")
+    print(f"synth: {len(records)} records, {len(gold)} blocks, "
+          f"{sum(map(len, gold.values()))} planted authors (seed {cfg.seed})")
     return EXIT_OK
 
 
@@ -297,7 +297,6 @@ def cmd_run(args) -> int:
 
     results = _per_block(blocks, job)
     out_dir = _out_dir(args)
-    blocks_by_key = {b.block_key: b for b in blocks}
     comparisons = count_comparisons(blocks)
     report = {
         "alpha": alpha,
@@ -312,7 +311,7 @@ def cmd_run(args) -> int:
         if observed != comparisons:
             raise DataIntegrityError(
                 f"comparison audit failed: {observed} != {comparisons}")
-        write_clusters_tsv(clusterings, blocks_by_key, out_dir / f"clusters_t{t}.tsv")
+        write_clusters_tsv(blocks, clusterings, out_dir / f"clusters_t{t}.tsv")
         scores = [r[k][1] for r in results]
         per_block = [{"block_key": b.block_key, "m": b.m, **_triple(s)}
                      for b, s in zip(blocks, scores)]
@@ -333,6 +332,8 @@ def cmd_common_names(args) -> int:
     resolution = _setting(args, config, "resolution")
     workers = _setting(args, config, "workers")
     _check_settings([threshold], alpha, workers, resolution)
+    if min_block_size < 0:
+        raise UsageError(f"min block size must be >= 0, got {min_block_size}")
 
     graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])
 

@@ -9,10 +9,9 @@ from .graph import BipartiteGraph
 from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
 
 
-# assignment: record id -> cluster id; clusters: cluster id -> frozenset
-# of record ids; comparisons: pairs of members decided
-Clustering = collections.namedtuple(
-    "Clustering", ["block_key", "assignment", "clusters", "comparisons"])
+# assignment: record id -> cluster id, the lowest record id in its
+# cluster; comparisons: pairs of members decided
+Clustering = collections.namedtuple("Clustering", ["assignment", "comparisons"])
 
 
 def count_comparisons(blocks: list[Block]) -> int:
@@ -20,16 +19,14 @@ def count_comparisons(blocks: list[Block]) -> int:
     return sum(b.m * (b.m - 1) // 2 for b in blocks)
 
 
-def groups_to_clustering(block_key, groups, comparisons=0) -> Clustering:
+def groups_to_clustering(groups, comparisons=0) -> Clustering:
     """Stable cluster ids: the lowest record_id in each cluster."""
-    clusters = {}
     assignment = {}
     for grp in groups:
         cid = min(grp)
-        clusters[cid] = frozenset(grp)
         for rid in grp:
             assignment[rid] = cid
-    return Clustering(block_key, assignment, clusters, comparisons)
+    return Clustering(assignment, comparisons)
 
 
 def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
@@ -76,6 +73,8 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
                     rv = find(v)
                     if rv != root:
                         parent[rv] = root
+        if not nxt:
+            break
         frontier = nxt
     # groups come in order of their lowest member, which is also their
     # cluster id, so no output depends on which node became a root
@@ -85,17 +84,14 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
     # the audit counts pairs decided: every pair of members the
     # union-find placed, so a member it missed fails the CLI's check
     covered = sum(len(grp) for grp in groups.values())
-    return groups_to_clustering(b.block_key, groups.values(),
-                                covered * (covered - 1) // 2)
+    return groups_to_clustering(groups.values(), covered * (covered - 1) // 2)
 
 
-def write_clusters_tsv(clusterings, blocks_by_key, path) -> None:
-    """TSV dump: block_key, record_id, cluster_id, gold_key."""
+def write_clusters_tsv(blocks, clusterings, path) -> None:
+    """TSV dump of each block's clustering, in the order of ``blocks``:
+    block_key, record_id, cluster_id, gold_key."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block_key\trecord_id\tcluster_id\tgold_key\n")
-        for c in sorted(clusterings, key=lambda c: c.block_key):
-            gold = blocks_by_key[c.block_key].gold_label
+        for b, c in zip(blocks, clusterings, strict=True):
             for rid in sorted(c.assignment):
-                fh.write(
-                    f"{c.block_key}\t{rid}\t{c.assignment[rid]}\t{gold[rid]}\n"
-                )
+                fh.write(f"{b.block_key}\t{rid}\t{c.assignment[rid]}\t{b.gold_label[rid]}\n")

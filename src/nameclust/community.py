@@ -283,13 +283,10 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
     if total:
         # the base clusters numbered in cluster-id order; one pass over
         # the edges for each cluster's internal weight and degree sum
-        index = {rid: i for i, rid in enumerate(nodes)}
-        cluster_of = [0] * len(nodes)
-        for c, cid in enumerate(sorted(base.clusters)):
-            for rid in base.clusters[cid]:
-                cluster_of[index[rid]] = c
-        w_in = [0.0] * len(base.clusters)
-        degree = [0.0] * len(base.clusters)
+        number = {cid: c for c, cid in enumerate(sorted(set(base.assignment.values())))}
+        cluster_of = [number[base.assignment[rid]] for rid in nodes]
+        w_in = [0.0] * len(number)
+        degree = [0.0] * len(number)
         for i, row in enumerate(adj):
             c = cluster_of[i]
             degree[c] += k[i]
@@ -297,17 +294,17 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
                 if j > i and cluster_of[j] == c:
                     w_in[c] += w
         q_before = 0.0
-        for c in range(len(base.clusters)):
+        for c in range(len(number)):
             q_before += w_in[c] / total - resolution * (degree[c] / (2.0 * total)) ** 2
     groups: list[list[str]] = [[] for _ in range(max(labels) + 1)]
     for rid, label in zip(nodes, labels):
         groups[label].append(rid)
-    refined = groups_to_clustering(b.block_key, groups, comparisons=base.comparisons)
+    refined = groups_to_clustering(groups, comparisons=base.comparisons)
     report = {
         "block_key": b.block_key,
         "q_before": q_before,
         "q_after": q_after,
         "passes": passes,
-        "communities": len(refined.clusters),
+        "communities": len(groups),
     }
     return refined, report

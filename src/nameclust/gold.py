@@ -10,16 +10,6 @@ from .errors import DataIntegrityError
 from .records import gold_key, read_json
 
 
-class GoldStandard(collections.namedtuple("GoldStandard", ["entries"])):
-    """entries: block_key -> gold author key -> set of record ids."""
-
-    __slots__ = ()
-
-    @property
-    def author_count(self) -> int:
-        return sum(len(keys) for keys in self.entries.values())
-
-
 class Block(collections.namedtuple("Block", ["block_key", "members", "gold_label"])):
     """A homonym block: its name, its record ids (a frozenset) and each
     record id's gold author key."""
@@ -31,8 +21,9 @@ class Block(collections.namedtuple("Block", ["block_key", "members", "gold_label
         return len(self.members)
 
 
-def build_gold_standard(records, min_gold_authors: int = 1) -> GoldStandard:
-    """Collect suffix-identified mentions into the evaluation universe.
+def build_gold_standard(records, min_gold_authors: int = 1) -> dict:
+    """Collect suffix-identified mentions into the evaluation universe:
+    block key -> gold author key -> set of record ids.
 
     A block is retained when it has at least ``min_gold_authors`` distinct
     gold identities (default 1: any name with at least one disambiguated
@@ -51,15 +42,17 @@ def build_gold_standard(records, min_gold_authors: int = 1) -> GoldStandard:
             for key, authors in entries.items()
             if len(authors) >= min_gold_authors
         }
-    return GoldStandard(entries=entries)
+    return entries
 
 
-def build_blocks(gold: GoldStandard) -> list[Block]:
-    """One block per gold block key, in key order."""
+def build_blocks(gold) -> list[Block]:
+    """One block per key of the gold mapping (block key -> gold author
+    key -> record ids), in key order; a record listed twice under one
+    gold author is one member."""
     blocks = []
-    for block_key in sorted(gold.entries):
+    for block_key in sorted(gold):
         labels: dict[str, str] = {}
-        for author_key, rids in gold.entries[block_key].items():
+        for author_key, rids in gold[block_key].items():
             for rid in rids:
                 prev = labels.get(rid)
                 if prev is not None and prev != author_key:
@@ -83,10 +76,10 @@ def sample_blocks(blocks: list[Block], count: int, seed: int) -> list[Block]:
     return chosen
 
 
-def write_gold(gold: GoldStandard, path) -> None:
+def write_gold(gold, path) -> None:
     obj = {
         bk: {ak: sorted(rids) for ak, rids in authors.items()}
-        for bk, authors in gold.entries.items()
+        for bk, authors in gold.items()
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n")
@@ -99,15 +92,15 @@ def _is_author_map(authors) -> bool:
         for rids in authors.values())
 
 
-def read_gold(path) -> GoldStandard:
-    """Read ``write_gold``'s format; a file that is not UTF-8, not JSON
-    or of another shape, or a block with no gold author or a gold author
-    with no record id, raises ``DataIntegrityError`` naming the file (and
-    the first offending block or the line and column of invalid JSON)."""
+def read_gold(path) -> dict:
+    """Read ``write_gold``'s format, as block key -> gold author key ->
+    list of record ids; a file that is not UTF-8, not JSON or of another
+    shape, or a block with no gold author or a gold author with no record
+    id, raises ``DataIntegrityError`` naming the file (and the first
+    offending block or the line and column of invalid JSON)."""
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise DataIntegrityError(f"{path}: gold file is not a JSON object of blocks")
-    entries = {}
     for bk, authors in obj.items():
         if not _is_author_map(authors):
             raise DataIntegrityError(
@@ -119,5 +112,4 @@ def read_gold(path) -> GoldStandard:
             if not rids:
                 raise DataIntegrityError(
                     f"{path}: gold block {bk!r}: gold author {ak!r} has no record ids")
-        entries[bk] = {ak: set(rids) for ak, rids in authors.items()}
-    return GoldStandard(entries=entries)
+    return obj

@@ -16,6 +16,14 @@ def rec(record_id, *names, kind="article"):
                      venue=None, year=2015, mentions=mentions)
 
 
+def clusters_of(c):
+    """A clustering's clusters: cluster id -> frozenset of record ids."""
+    out = {}
+    for rid, cid in c.assignment.items():
+        out.setdefault(cid, set()).add(rid)
+    return {cid: frozenset(rids) for cid, rids in out.items()}
+
+
 @pytest.fixture
 def fig1_records():
     """Small network mirroring the worked distance examples:

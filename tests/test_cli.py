@@ -597,6 +597,8 @@ def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, ca
     (["common-names"], "alpha = 0.5\n# a comment\nmin-blocksize = 5\n",
      "bad.conf:3: unknown setting 'min_blocksize'"),
     (["run"], "seed = 1\n\ufeffalpha = 0.5\n", "bad.conf:2: unknown setting '\\ufeffalpha'"),
+    (["common-names", "--min-block-size", -3], None, "min block size must be >= 0, got -3"),
+    (["common-names"], "min_block_size = -1\n", "min block size must be >= 0, got -1"),
 ])
 def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config,
                                                   message):
@@ -899,7 +901,7 @@ def _scored_clusterings(b):
     members = sorted(b.members)
     pairs = []
     for groups in ([members], [members[0::2], members[1::2]]):
-        c = groups_to_clustering(b.block_key, [g for g in groups if g], b.m * (b.m - 1) // 2)
+        c = groups_to_clustering([g for g in groups if g], b.m * (b.m - 1) // 2)
         pairs.append((c, block_scores(c, b, 0.5)))
     return pairs
 

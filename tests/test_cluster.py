@@ -1,11 +1,12 @@
 import random
+import signal
 
 import networkx as nx
 import pytest
 
 import cases
 import oracles
-from conftest import rec
+from conftest import clusters_of, rec
 from nameclust.cluster import (
     cluster_block,
     count_comparisons,
@@ -46,16 +47,16 @@ def test_threshold1_merges_shared_coauthor(fig1_setup):
     graph, blocks = fig1_setup
     c = cluster_block(blocks["Daniel Schall"], graph, 1)
     assert c.assignment["k/p1"] == c.assignment["k/p2"]
-    assert len(c.clusters) == 1
+    assert len(clusters_of(c)) == 1
 
 
 def test_threshold3_merges_coauthor_of_coauthor(fig1_setup):
     graph, blocks = fig1_setup
     c1 = cluster_block(blocks["Eric Dubois"], graph, 1)
-    assert len(c1.clusters) == 2  # too far at threshold 1
+    assert len(clusters_of(c1)) == 2  # too far at threshold 1
     c3 = cluster_block(blocks["Eric Dubois"], graph, 3)
     assert c3.assignment["k/p3"] == c3.assignment["k/p4"]
-    assert len(c3.clusters) == 1
+    assert len(clusters_of(c3)) == 1
 
 
 def test_all_infinite_gives_singletons():
@@ -67,14 +68,14 @@ def test_all_infinite_gives_singletons():
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
     c = cluster_block(block, graph, 3)
-    assert len(c.clusters) == 3
+    assert len(clusters_of(c)) == 3
     assert c.comparisons == 3
 
 
 def test_cluster_ids_are_lowest_record_id(fig1_setup):
     graph, blocks = fig1_setup
     c = cluster_block(blocks["Daniel Schall"], graph, 1)
-    assert set(c.clusters) == {"k/p1"}
+    assert set(clusters_of(c)) == {"k/p1"}
 
 
 def _synthetic_setup(seed, blocks=8):
@@ -93,7 +94,7 @@ def test_components_equivalence(seed, threshold):
     nxg = oracles.build_nx_graph(records)
     for block in block_set:
         c = cluster_block(block, graph, threshold)
-        got = sorted((frozenset(v) for v in c.clusters.values()), key=sorted)
+        got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
         want = oracles.oracle_components(
             nxg, block.members, block.block_key, threshold)
         assert got == want, block.block_key
@@ -105,7 +106,7 @@ def test_threshold3_coarsens_threshold1(seed):
     for block in block_set:
         fine = cluster_block(block, graph, 1)
         coarse = cluster_block(block, graph, 3)
-        for members in fine.clusters.values():
+        for members in clusters_of(fine).values():
             targets = {coarse.assignment[rid] for rid in members}
             assert len(targets) == 1
 
@@ -132,12 +133,12 @@ def test_order_independence():
         near.add_nodes_from(members)
         near.add_edges_from((p, q) for p, q in pairs
                             if q in pubs_within(graph, p, 2, block.block_key))
-        shuffled = groups_to_clustering(block.block_key, nx.connected_components(near))
-        assert shuffled.clusters == base.clusters
+        shuffled = groups_to_clustering(nx.connected_components(near))
+        assert clusters_of(shuffled) == clusters_of(base)
 
 
 def _partition(c):
-    return sorted(map(sorted, c.clusters.values()))
+    return sorted(map(sorted, clusters_of(c).values()))
 
 
 def test_distance_5_chain_stays_split_at_threshold_3():
@@ -192,7 +193,7 @@ def _check_components(corpora):
         for block in build_blocks(build_gold_standard(records)):
             for threshold in (1, 3, 5):
                 c = cluster_block(block, graph, threshold)
-                got = sorted((frozenset(v) for v in c.clusters.values()), key=sorted)
+                got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
                 want = oracles.oracle_components(
                     nxg, block.members, block.block_key, threshold)
                 assert got == want, (block.block_key, threshold)
@@ -224,11 +225,30 @@ def test_even_threshold_rejected(fig1_setup):
         cluster_block(blocks["Daniel Schall"], graph, 2)
 
 
+def test_huge_threshold_stops_at_an_empty_frontier(fig1_setup):
+    # the expansion ends at the first level that reaches no new node, so
+    # a bound far beyond every block's reach costs what t=101 costs; the
+    # timer turns an expansion that goes on into a failure, not a hang
+    graph, blocks = fig1_setup
+
+    def expired(signum, frame):
+        raise TimeoutError("cluster_block kept expanding an empty frontier")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for b in blocks.values():
+            assert cluster_block(b, graph, 2**61 - 1) == cluster_block(b, graph, 101)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_tsv_export(tmp_path, fig1_setup):
     graph, blocks = fig1_setup
     clusterings = [cluster_block(b, graph, 3) for b in blocks.values()]
     path = tmp_path / "clusters.tsv"
-    write_clusters_tsv(clusterings, blocks, path)
+    write_clusters_tsv(list(blocks.values()), clusterings, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "block_key\trecord_id\tcluster_id\tgold_key"
     assert "Daniel Schall\tk/p1\tk/p1\tDaniel Schall 0001" in lines

@@ -6,7 +6,7 @@ import pytest
 
 import cases
 import oracles
-from conftest import rec
+from conftest import clusters_of, rec
 from nameclust import community
 from nameclust.cluster import cluster_block
 from nameclust.community import (
@@ -81,7 +81,7 @@ def test_similarity_graph_components_are_threshold_clusters():
             strong = [e for e, w in wg.edges.items() if w == 2.0]
             for threshold, edges in ((1, strong), (3, list(wg.edges))):
                 c = cluster_block(block, graph, threshold)
-                want = sorted((frozenset(v) for v in c.clusters.values()), key=sorted)
+                want = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
                 assert _edge_components(wg.nodes, edges) == want, \
                     (block.block_key, threshold)
                 units += 1
@@ -155,8 +155,8 @@ def test_similarity_graph_reads_only_the_members_authors():
 
 def _as_partition(c):
     """A clustering as a partition numbered in cluster-id order."""
-    return Partition(assignment={rid: i for i, cid in enumerate(sorted(c.clusters))
-                                 for rid in c.clusters[cid]})
+    return Partition(assignment={rid: i for i, cid in enumerate(sorted(clusters_of(c)))
+                                 for rid in clusters_of(c)[cid]})
 
 
 def _check_q_exact(corpora):
@@ -368,9 +368,9 @@ def test_refinement_splits_bridged_authors():
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
-    assert len(base.clusters) == 1  # bridge over-merges at threshold 3
+    assert len(clusters_of(base)) == 1  # bridge over-merges at threshold 3
     refined, _ = refine_with_report(block, base, graph)
-    groups = sorted((sorted(v) for v in refined.clusters.values()))
+    groups = sorted((sorted(v) for v in clusters_of(refined).values()))
     assert groups == [
         [f"p1{j}" for j in range(5)],
         [f"p2{j}" for j in range(5)],
@@ -405,7 +405,7 @@ def test_isolated_members_stay_singletons():
     block = build_blocks(build_gold_standard(records))[0]
     base = cluster_block(block, graph, 3)
     refined, report = refine_with_report(block, base, graph)
-    assert refined.clusters[min({"p3"})] == frozenset({"p3"})
+    assert clusters_of(refined)[min({"p3"})] == frozenset({"p3"})
     assert report["communities"] == 2
 
 
@@ -417,7 +417,7 @@ def test_report_fields():
     refined, report = refine_with_report(block, base, graph)
     assert report["q_after"] > report["q_before"]
     assert report["passes"] >= 1
-    assert report["communities"] == len(refined.clusters)
+    assert report["communities"] == len(clusters_of(refined))
 
 
 # -- louvain against the definitional oracle ----------------------------------

@@ -5,7 +5,6 @@ import pytest
 from conftest import rec
 from nameclust.errors import DataIntegrityError
 from nameclust.gold import (
-    GoldStandard,
     build_blocks,
     build_gold_standard,
     read_gold,
@@ -26,23 +25,23 @@ def wei_li_corpus():
 
 def test_build_gold_standard(wei_li_corpus):
     gold = build_gold_standard(wei_li_corpus)
-    assert set(gold.entries) == {"Wei Li"}
-    authors = gold.entries["Wei Li"]
+    assert set(gold) == {"Wei Li"}
+    authors = gold["Wei Li"]
     assert authors["Wei Li 0001"] == {"p1", "p2"}
     assert authors["Wei Li 0002"] == {"p3"}
-    assert gold.author_count == 2
+    assert sum(map(len, gold.values())) == 2
 
 
 def test_no_suffixed_names_gives_empty_gold():
     gold = build_gold_standard([rec("p1", "Jane Roe")])
-    assert gold.entries == {}
+    assert gold == {}
     assert build_blocks(gold) == []
 
 
 def test_min_gold_authors_filter():
     corpus = [rec("p1", "Wei Li 0001"), rec("p2", "A B 0001"), rec("p3", "A B 0002")]
     gold = build_gold_standard(corpus, min_gold_authors=2)
-    assert set(gold.entries) == {"A B"}
+    assert set(gold) == {"A B"}
 
 
 def test_build_blocks(wei_li_corpus):
@@ -62,7 +61,7 @@ def test_gold_label_partitions_members(wei_li_corpus):
 
 
 def test_conflicting_gold_assignment_rejected():
-    gold = GoldStandard(entries={"X Y": {"X Y 0001": {"p1"}, "X Y 0002": {"p1"}}})
+    gold = {"X Y": {"X Y 0001": {"p1"}, "X Y 0002": {"p1"}}}
     with pytest.raises(DataIntegrityError):
         build_blocks(gold)
 
@@ -98,7 +97,16 @@ def test_gold_round_trip(tmp_path, wei_li_corpus):
     gold = build_gold_standard(wei_li_corpus)
     path = tmp_path / "gold.json"
     write_gold(gold, path)
-    assert read_gold(path).entries == gold.entries
+    assert {bk: {ak: set(rids) for ak, rids in authors.items()}
+            for bk, authors in read_gold(path).items()} == gold
+
+
+def test_record_listed_twice_under_one_author_is_one_member(tmp_path):
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps({"A": {"A 0001": ["a/1", "a/1"], "A 0002": ["a/2"]}}))
+    (block,) = build_blocks(read_gold(path))
+    assert block.m == 2
+    assert block.gold_label == {"a/1": "A 0001", "a/2": "A 0002"}
 
 
 @pytest.mark.parametrize("obj, block", [

@@ -22,7 +22,7 @@ def test_bad_bridge_rate_rejected():
 def test_gold_labels_planted():
     records = generate_corpus(SynthConfig(blocks=2, seed=0))
     gold = build_gold_standard(records)
-    assert len(gold.entries) == 2
+    assert len(gold) == 2
     blocks = build_blocks(gold)
     assert sum(b.m for b in blocks) == len(records)
 
