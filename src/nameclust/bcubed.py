@@ -31,7 +31,7 @@ def item_scores(c: Clustering, b: Block, e: str, alpha: float = 0.5) -> BcubedSc
     """Scores of a single publication: precision is the fraction of its
     predicted cluster sharing its gold author, recall the fraction of its
     gold author's publications captured by the cluster."""
-    if e not in b.members:
+    if e not in b.gold_label:
         raise KeyError(f"{e!r} is not a member of block {b.block_key!r}")
     cid = c.assignment[e]
     label = b.gold_label[e]
@@ -51,9 +51,9 @@ def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
     class_sizes: dict[str, int] = {}
     for label in b.gold_label.values():
         class_sizes[label] = class_sizes.get(label, 0) + 1
-    m = len(b.members)
+    m = len(b.gold_label)
     sum_p = sum_r = sum_f = 0.0
-    for rid in sorted(b.members):  # fixed float summation order
+    for rid in sorted(b.gold_label):  # fixed float summation order
         cid = c.assignment[rid]
         label = b.gold_label[rid]
         inter = counts[cid][label]

@@ -216,7 +216,7 @@ def _inputs(args, choose):
         gc.freeze()
         gc.enable()
     blocks = choose(build_blocks(read_gold(args.gold)))
-    missing = [(rid, b.block_key) for b in blocks for rid in b.members
+    missing = [(rid, b.block_key) for b in blocks for rid in b.gold_label
                if rid not in graph.pub_index]
     if missing:
         rid, key = min(missing)
@@ -289,11 +289,7 @@ def cmd_run(args) -> int:
     graph, blocks = _inputs(args, choose)
 
     def job(b):
-        per_threshold = []
-        for t in thresholds:
-            c = cluster_block(b, graph, t)
-            per_threshold.append((c, block_scores(c, b, alpha)))
-        return per_threshold
+        return [(c, block_scores(c, b, alpha)) for c in cluster_block(b, graph, thresholds)]
 
     results = _per_block(blocks, job)
     out_dir = _out_dir(args)
@@ -338,7 +334,7 @@ def cmd_common_names(args) -> int:
     graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])
 
     def job(b):
-        base = cluster_block(b, graph, threshold)
+        (base,) = cluster_block(b, graph, [threshold])
         refined, info = refine_with_report(b, base, graph, resolution)
         return block_scores(base, b, alpha), block_scores(refined, b, alpha), info
 

@@ -29,20 +29,23 @@ def groups_to_clustering(groups, comparisons=0) -> Clustering:
     return Clustering(assignment, comparisons)
 
 
-def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
-    """Connected components of the block's publications under "distance
-    (focal author excluded) at most the threshold"; unmatched
-    publications stay singletons.
+def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
+    """For each t of ``thresholds``, in order, the connected components
+    of the block's publications under "distance (focal author excluded)
+    at most t"; unmatched publications stay singletons.
 
     Two publications are within distance 2k - 1 exactly when the balls
     of k edges around them share a node, so one union-find pass over
     the block's neighbourhood decides every pair at once: starting from
     all members, every edge leaving a node fewer than k edges from the
-    nearest member is merged. No pair of members is ever compared.
+    nearest member is merged; the forest after k levels is the partition
+    at t = 2k - 1. No pair of members is ever compared.
     """
-    if threshold < 1 or threshold % 2 == 0:
-        raise ValueError("distance bound must be odd and >= 1")
-    members = sorted(b.members)
+    for t in thresholds:
+        if t < 1 or t % 2 == 0:
+            raise ValueError("distance bound must be odd and >= 1")
+    levels = [(t + 1) // 2 for t in thresholds]
+    members = sorted(b.gold_label)
     excluded = g.author_id(b.block_key)
     # one id space for both sides: publications p >= 0, authors ~a < 0;
     # parent holds the union-find forest over every node reached so far
@@ -55,8 +58,20 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
             parent[x] = x = parent[parent[x]]
         return x
 
+    def partition():
+        # groups come in order of their lowest member, which is also their
+        # cluster id, so no output depends on which node became a root
+        groups: dict[int, list[str]] = {}
+        for p, pid in zip(members, ids):
+            groups.setdefault(find(pid), []).append(p)
+        # the audit counts pairs decided: every pair of members the
+        # union-find placed, so a member it missed fails the CLI's check
+        covered = sum(len(grp) for grp in groups.values())
+        return groups_to_clustering(groups.values(), covered * (covered - 1) // 2)
+
+    partitions = {}  # levels done -> the partition after them
     frontier = ids
-    for depth in range((threshold + 1) // 2):
+    for depth in range(max(levels)):
         nxt = []
         for u in frontier:
             if depth % 2 == 0:
@@ -73,18 +88,14 @@ def cluster_block(b: Block, g: BipartiteGraph, threshold: int) -> Clustering:
                     rv = find(v)
                     if rv != root:
                         parent[rv] = root
+        if depth + 1 in levels or not nxt:
+            partitions[depth + 1] = partition()
         if not nxt:
             break
         frontier = nxt
-    # groups come in order of their lowest member, which is also their
-    # cluster id, so no output depends on which node became a root
-    groups: dict[int, list[str]] = {}
-    for p, pid in zip(members, ids):
-        groups.setdefault(find(pid), []).append(p)
-    # the audit counts pairs decided: every pair of members the
-    # union-find placed, so a member it missed fails the CLI's check
-    covered = sum(len(grp) for grp in groups.values())
-    return groups_to_clustering(groups.values(), covered * (covered - 1) // 2)
+    # no level after one that reaches no new node can merge, so every
+    # deeper threshold reads the partition taken at the stop
+    return [partitions[min(k, depth + 1)] for k in levels]
 
 
 def write_clusters_tsv(blocks, clusterings, path) -> None:

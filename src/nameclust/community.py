@@ -70,7 +70,7 @@ def _similarity_adjacency(b: Block, g: BipartiteGraph):
     authors, its weight-1 set the union of ``far`` over them less the
     weight-2 set; whatever one of its own authors reaches is already in
     the weight-2 set."""
-    nodes = sorted(b.members)
+    nodes = sorted(b.gold_label)
     excluded = g.author_id(b.block_key)
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
     member_authors = [[a for a in pub_authors[g.pub_id(rid)] if a != excluded]

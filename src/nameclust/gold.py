@@ -10,15 +10,15 @@ from .errors import DataIntegrityError
 from .records import gold_key, read_json
 
 
-class Block(collections.namedtuple("Block", ["block_key", "members", "gold_label"])):
-    """A homonym block: its name, its record ids (a frozenset) and each
-    record id's gold author key."""
+class Block(collections.namedtuple("Block", ["block_key", "gold_label"])):
+    """A homonym block: its name and the gold author key of each of its
+    record ids."""
 
     __slots__ = ()
 
     @property
     def m(self) -> int:
-        return len(self.members)
+        return len(self.gold_label)
 
 
 def build_gold_standard(records, min_gold_authors: int = 1) -> dict:
@@ -61,7 +61,7 @@ def build_blocks(gold) -> list[Block]:
                         f"{author_key!r} in block {block_key!r}"
                     )
                 labels[rid] = author_key
-        blocks.append(Block(block_key, frozenset(labels), labels))
+        blocks.append(Block(block_key, labels))
     return blocks
 
 

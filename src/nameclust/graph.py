@@ -33,14 +33,6 @@ class BipartiteGraph:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def n_pubs(self) -> int:
-        return len(self.pub_keys)
-
-    @property
-    def n_authors(self) -> int:
-        return len(self.author_names)
-
     def pub_id(self, record_id: str) -> int:
         try:
             return self.pub_index[record_id]

@@ -73,11 +73,11 @@ def test_criterion_2_and_3_components_and_audit():
     for block in block_set:
         partitions = {}
         for threshold in (1, 3):
-            c = cluster_block(block, graph, threshold)
+            (c,) = cluster_block(block, graph, [threshold])
             total_pairs += c.comparisons
             got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
             want = oracles.oracle_components(
-                nxg, block.members, block.block_key, threshold)
+                nxg, block.gold_label, block.block_key, threshold)
             assert got == want, (block.block_key, threshold)
             partitions[threshold] = c
         # threshold 3 coarsens threshold 1
@@ -128,7 +128,7 @@ def test_criterion_5_table2_direction_synthetic():
     assert len(blocks) == 28
     before, after = [], []
     for block in blocks:
-        base = cluster_block(block, graph, 3)
+        (base,) = cluster_block(block, graph, [3])
         refined, _ = refine_with_report(block, base, graph)
         before.append(block_scores(base, block))
         after.append(block_scores(refined, block))
@@ -155,7 +155,7 @@ def test_criterion_6_table1_reproduction():
     expected = {1: (0.98, 0.74, 0.79), 3: (0.94, 0.81, 0.82)}
     for threshold, (ep, er, ef) in expected.items():
         scores = corpus_scores(
-            [block_scores(cluster_block(b, graph, threshold), b) for b in blocks])
+            [block_scores(cluster_block(b, graph, [threshold])[0], b) for b in blocks])
         assert abs(scores.precision - ep) <= 0.05
         assert abs(scores.recall - er) <= 0.05
         assert abs(scores.f - ef) <= 0.05

@@ -16,8 +16,7 @@ from nameclust.gold import Block
 
 
 def make_block(gold_label):
-    return Block(block_key="B", members=frozenset(gold_label),
-                 gold_label=dict(gold_label))
+    return Block(block_key="B", gold_label=dict(gold_label))
 
 
 def make_clustering(groups):
@@ -33,7 +32,7 @@ def test_f_measure_limits():
 def test_perfect_clustering_scores_one():
     block = make_block({"p1": "x", "p2": "x", "p3": "y"})
     c = make_clustering([["p1", "p2"], ["p3"]])
-    for e in block.members:
+    for e in block.gold_label:
         assert item_scores(c, block, e) == BcubedScores(1.0, 1.0, 1.0)
     assert block_scores(c, block) == BcubedScores(1.0, 1.0, 1.0)
 
@@ -100,8 +99,8 @@ def _random_instance(rng, n):
 def test_oracle_equivalence(seed):
     rng = random.Random(seed)
     block, c, gold = _random_instance(rng, rng.randint(2, 12))
-    predicted = {p: c.assignment[p] for p in block.members}
-    items = sorted(block.members)
+    predicted = {p: c.assignment[p] for p in block.gold_label}
+    items = sorted(block.gold_label)
     for e in items:
         got = item_scores(c, block, e)
         p, r, f = oracles.oracle_bcubed_item(items, predicted, gold, e)
@@ -136,7 +135,7 @@ def test_refinement_monotonicity():
             merged = [set(clusters[0]) | set(clusters[1])] + \
                 [set(g) for g in clusters[2:]]
             c_merged = make_clustering(merged)
-            for e in block.members:
+            for e in block.gold_label:
                 assert item_scores(c_merged, block, e).recall >= \
                     item_scores(c, block, e).recall - 1e-12
 
@@ -165,7 +164,7 @@ def test_f_bounded_by_p_and_r():
     rng = random.Random(5)
     for _ in range(200):
         block, c, _ = _random_instance(rng, 8)
-        for e in block.members:
+        for e in block.gold_label:
             s = item_scores(c, block, e)
             assert min(s.precision, s.recall) - 1e-12 <= s.f
             assert s.f <= max(s.precision, s.recall) + 1e-12

@@ -891,14 +891,14 @@ def _blocks_of_sizes(sizes):
     blocks = []
     for k, m in enumerate(sizes):
         labels = {f"b{k}/{j:02d}": f"b{k} {j % 3 + 1:04d}" for j in range(m)}
-        blocks.append(Block(f"b{k}", frozenset(labels), labels))
+        blocks.append(Block(f"b{k}", labels))
     return blocks
 
 
 def _scored_clusterings(b):
     """A ``run``-shaped result: (clustering, scores) for the block in
     one cluster and in two."""
-    members = sorted(b.members)
+    members = sorted(b.gold_label)
     pairs = []
     for groups in ([members], [members[0::2], members[1::2]]):
         c = groups_to_clustering([g for g in groups if g], b.m * (b.m - 1) // 2)
@@ -907,7 +907,7 @@ def _scored_clusterings(b):
 
 
 @pytest.mark.parametrize("sizes", [[], [4], [5, 2], [2, 7, 3], [3, 3, 3, 3, 3]])
-@pytest.mark.parametrize("job", [lambda b: (b.block_key, sorted(b.members)),
+@pytest.mark.parametrize("job", [lambda b: (b.block_key, sorted(b.gold_label)),
                                  _scored_clusterings])
 @pytest.mark.parametrize("fork", [True, False])
 def test_per_block_equals_the_list_in_one_process(monkeypatch, forks, sizes, job, fork):
@@ -928,6 +928,24 @@ def test_per_block_deals_ties_in_block_order(forks):
     assert dealt == [("b0", True), ("b1", False), ("b2", False), ("b3", True),
                      ("b4", False)]
     assert len(forks) == 1 and no_child_left()
+
+
+def test_run_clusters_each_block_once_for_all_thresholds(tmp_path, synth_corpus, monkeypatch):
+    # one union-find pass per block serves both thresholds; in one process,
+    # so that every call is counted here
+    monkeypatch.delattr(os, "fork")
+    cluster_block = nameclust.cli.cluster_block
+    calls = []
+
+    def counted(b, *args):
+        calls.append(b.block_key)
+        return cluster_block(b, *args)
+
+    monkeypatch.setattr(nameclust.cli, "cluster_block", counted)
+    records, gold = synth_corpus
+    assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", tmp_path / "o",
+                   "--threshold", 1, "--threshold", 3) == 0
+    assert calls == [b.block_key for b in build_blocks(read_gold(gold))]
 
 
 def _child_share_key(gold):

@@ -19,7 +19,7 @@ from nameclust.synth import SynthConfig, generate_corpus
 
 
 def _block(key, labels):
-    return Block(block_key=key, members=frozenset(labels), gold_label=labels)
+    return Block(block_key=key, gold_label=labels)
 
 
 def _blockset(*sizes):
@@ -45,16 +45,16 @@ def fig1_setup(fig1_records):
 
 def test_threshold1_merges_shared_coauthor(fig1_setup):
     graph, blocks = fig1_setup
-    c = cluster_block(blocks["Daniel Schall"], graph, 1)
+    (c,) = cluster_block(blocks["Daniel Schall"], graph, [1])
     assert c.assignment["k/p1"] == c.assignment["k/p2"]
     assert len(clusters_of(c)) == 1
 
 
 def test_threshold3_merges_coauthor_of_coauthor(fig1_setup):
     graph, blocks = fig1_setup
-    c1 = cluster_block(blocks["Eric Dubois"], graph, 1)
+    (c1,) = cluster_block(blocks["Eric Dubois"], graph, [1])
     assert len(clusters_of(c1)) == 2  # too far at threshold 1
-    c3 = cluster_block(blocks["Eric Dubois"], graph, 3)
+    (c3,) = cluster_block(blocks["Eric Dubois"], graph, [3])
     assert c3.assignment["k/p3"] == c3.assignment["k/p4"]
     assert len(clusters_of(c3)) == 1
 
@@ -67,14 +67,14 @@ def test_all_infinite_gives_singletons():
     ]
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    c = cluster_block(block, graph, 3)
+    (c,) = cluster_block(block, graph, [3])
     assert len(clusters_of(c)) == 3
     assert c.comparisons == 3
 
 
 def test_cluster_ids_are_lowest_record_id(fig1_setup):
     graph, blocks = fig1_setup
-    c = cluster_block(blocks["Daniel Schall"], graph, 1)
+    (c,) = cluster_block(blocks["Daniel Schall"], graph, [1])
     assert set(clusters_of(c)) == {"k/p1"}
 
 
@@ -93,19 +93,58 @@ def test_components_equivalence(seed, threshold):
     records, graph, block_set = _synthetic_setup(seed)
     nxg = oracles.build_nx_graph(records)
     for block in block_set:
-        c = cluster_block(block, graph, threshold)
+        (c,) = cluster_block(block, graph, [threshold])
         got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
         want = oracles.oracle_components(
-            nxg, block.members, block.block_key, threshold)
+            nxg, block.gold_label, block.block_key, threshold)
         assert got == want, block.block_key
+
+
+# thresholds clustered in one pass, in and out of order; the synthetic
+# blocks share no co-author, so there the pass stops at level 2, between
+# the two levels that [1, 5] asks for
+THRESHOLD_LISTS = [[1, 3], [3, 1], [1, 3, 5], [5, 1, 3], [1, 5]]
+
+
+def _oracle_partitions(nxg, block):
+    return {t: oracles.oracle_components(nxg, block.gold_label, block.block_key, t)
+            for t in (1, 3, 5)}
+
+
+def _check_threshold_lists(block, graph, want):
+    """Check ``cluster_block`` over each of ``THRESHOLD_LISTS`` against
+    its one-threshold calls and ``want``, the BFS oracle's partition at
+    t=1, 3 and 5."""
+    single = {t: cluster_block(block, graph, [t])[0] for t in want}
+    for thresholds in THRESHOLD_LISTS:
+        got = cluster_block(block, graph, thresholds)
+        assert got == [single[t] for t in thresholds], (block.block_key, thresholds)
+        for t, c in zip(thresholds, got, strict=True):
+            components = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
+            assert components == want[t], (block.block_key, thresholds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_lists_equivalence(seed):
+    records, graph, block_set = _synthetic_setup(seed)
+    nxg = oracles.build_nx_graph(records)
+    for block in block_set:
+        _check_threshold_lists(block, graph, _oracle_partitions(nxg, block))
+
+
+def test_threshold_lists_equivalence_fig1(fig1_records, fig1_setup):
+    graph, blocks = fig1_setup
+    nxg = oracles.build_nx_graph(fig1_records)
+    for block in blocks.values():
+        _check_threshold_lists(block, graph, _oracle_partitions(nxg, block))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_threshold3_coarsens_threshold1(seed):
     _, graph, block_set = _synthetic_setup(seed)
     for block in block_set:
-        fine = cluster_block(block, graph, 1)
-        coarse = cluster_block(block, graph, 3)
+        (fine,) = cluster_block(block, graph, [1])
+        (coarse,) = cluster_block(block, graph, [3])
         for members in clusters_of(fine).values():
             targets = {coarse.assignment[rid] for rid in members}
             assert len(targets) == 1
@@ -114,7 +153,7 @@ def test_threshold3_coarsens_threshold1(seed):
 def test_comparison_budget():
     _, graph, block_set = _synthetic_setup(5)
     for block in block_set:
-        c = cluster_block(block, graph, 3)
+        (c,) = cluster_block(block, graph, [3])
         assert c.comparisons == block.m * (block.m - 1) // 2
 
 
@@ -124,8 +163,8 @@ def test_order_independence():
     # deciding every pair with the graph's own distance query
     records, graph, block_set = _synthetic_setup(9, blocks=3)
     for block in block_set:
-        base = cluster_block(block, graph, 3)
-        members = sorted(block.members)
+        (base,) = cluster_block(block, graph, [3])
+        members = sorted(block.gold_label)
         pairs = [(p, q) for i, p in enumerate(members) for q in members[i + 1:]]
         rng = random.Random(17)
         rng.shuffle(pairs)
@@ -156,10 +195,10 @@ def test_distance_5_chain_stays_split_at_threshold_3():
     nxg = oracles.build_nx_graph(records)
     for threshold, want in ((1, [["p1"], ["p2"]]), (3, [["p1"], ["p2"]]),
                             (5, [["p1", "p2"]])):
-        c = cluster_block(block, graph, threshold)
+        (c,) = cluster_block(block, graph, [threshold])
         assert _partition(c) == want, threshold
         assert sorted(map(sorted, oracles.oracle_components(
-            nxg, block.members, block.block_key, threshold))) == want
+            nxg, block.gold_label, block.block_key, threshold))) == want
 
 
 def test_record_with_two_focal_names():
@@ -176,29 +215,33 @@ def test_record_with_two_focal_names():
     graph = build_graph(records)
     blocks = {b.block_key: b for b in build_blocks(build_gold_standard(records))}
     wei, jun = blocks["Wei Li"], blocks["Jun Wang"]
-    assert _partition(cluster_block(wei, graph, 1)) == [["r1", "r2"], ["r3"], ["r5"]]
-    assert _partition(cluster_block(wei, graph, 3)) == [["r1", "r2", "r3"], ["r5"]]
-    assert _partition(cluster_block(jun, graph, 1)) == [["r1", "r2"], ["r4"]]
-    assert _partition(cluster_block(jun, graph, 3)) == [["r1", "r2", "r4"]]
+    assert _partition(cluster_block(wei, graph, [1])[0]) == [["r1", "r2"], ["r3"], ["r5"]]
+    assert _partition(cluster_block(wei, graph, [3])[0]) == [["r1", "r2", "r3"], ["r5"]]
+    assert _partition(cluster_block(jun, graph, [1])[0]) == [["r1", "r2"], ["r4"]]
+    assert _partition(cluster_block(jun, graph, [3])[0]) == [["r1", "r2", "r4"]]
 
 
 def _check_components(corpora):
-    """Check ``cluster_block`` at t=1, 3 and 5 against the BFS oracle on
-    every block of ``corpora``; returns the largest cluster's size of
+    """Check ``cluster_block`` at t=1, 3 and 5, and over each of
+    ``THRESHOLD_LISTS``, against the BFS oracle on every block of
+    ``corpora``; returns the largest cluster's size of
     each check."""
     largest = []
     for records in corpora:
         graph = build_graph(records)
         nxg = oracles.build_nx_graph(records)
         for block in build_blocks(build_gold_standard(records)):
+            wants = {}
             for threshold in (1, 3, 5):
-                c = cluster_block(block, graph, threshold)
+                (c,) = cluster_block(block, graph, [threshold])
                 got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
                 want = oracles.oracle_components(
-                    nxg, block.members, block.block_key, threshold)
+                    nxg, block.gold_label, block.block_key, threshold)
                 assert got == want, (block.block_key, threshold)
                 assert c.comparisons == block.m * (block.m - 1) // 2
                 largest.append(max(map(len, got)))
+                wants[threshold] = want
+            _check_threshold_lists(block, graph, wants)
     return largest
 
 
@@ -221,8 +264,12 @@ def test_components_equivalence_hub_coauthors():
 
 def test_even_threshold_rejected(fig1_setup):
     graph, blocks = fig1_setup
+    for thresholds in ([2], [1, 2], [2, 1], [3, 1, 0]):
+        with pytest.raises(ValueError):
+            cluster_block(blocks["Daniel Schall"], graph, thresholds)
+    # every threshold is checked before the block is looked up
     with pytest.raises(ValueError):
-        cluster_block(blocks["Daniel Schall"], graph, 2)
+        cluster_block(Block("Nobody", {"nope": "N 0001"}), graph, [1, 2])
 
 
 def test_huge_threshold_stops_at_an_empty_frontier(fig1_setup):
@@ -238,7 +285,8 @@ def test_huge_threshold_stops_at_an_empty_frontier(fig1_setup):
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
         for b in blocks.values():
-            assert cluster_block(b, graph, 2**61 - 1) == cluster_block(b, graph, 101)
+            assert cluster_block(b, graph, [2**61 - 1]) == cluster_block(b, graph, [101])
+            assert cluster_block(b, graph, [1, 2**61 - 1]) == cluster_block(b, graph, [1, 101])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -246,7 +294,7 @@ def test_huge_threshold_stops_at_an_empty_frontier(fig1_setup):
 
 def test_tsv_export(tmp_path, fig1_setup):
     graph, blocks = fig1_setup
-    clusterings = [cluster_block(b, graph, 3) for b in blocks.values()]
+    clusterings = [cluster_block(b, graph, [3])[0] for b in blocks.values()]
     path = tmp_path / "clusters.tsv"
     write_clusters_tsv(list(blocks.values()), clusterings, path)
     lines = path.read_text().splitlines()

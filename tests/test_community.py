@@ -80,7 +80,7 @@ def test_similarity_graph_components_are_threshold_clusters():
             wg = build_similarity_graph(block, graph)
             strong = [e for e, w in wg.edges.items() if w == 2.0]
             for threshold, edges in ((1, strong), (3, list(wg.edges))):
-                c = cluster_block(block, graph, threshold)
+                (c,) = cluster_block(block, graph, [threshold])
                 want = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
                 assert _edge_components(wg.nodes, edges) == want, \
                     (block.block_key, threshold)
@@ -97,9 +97,9 @@ def _check_similarity_edges(corpora):
         nxg = oracles.build_nx_graph(records)
         for block in build_blocks(build_gold_standard(records)):
             wg = build_similarity_graph(block, graph)
-            assert wg.nodes == tuple(sorted(block.members))
+            assert wg.nodes == tuple(sorted(block.gold_label))
             assert wg.edges == oracles.oracle_similarity_edges(
-                nxg, block.members, block.block_key), block.block_key
+                nxg, block.gold_label, block.block_key), block.block_key
             weights.extend(wg.edges.values())
     return weights
 
@@ -142,7 +142,7 @@ def test_similarity_graph_reads_only_the_members_authors():
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
             focal = graph.author_id(block.block_key)
-            a1 = {a for rid in block.members for a in graph.pub_authors[graph.pub_id(rid)]
+            a1 = {a for rid in block.gold_label for a in graph.pub_authors[graph.pub_id(rid)]
                   if a != focal}
             graph.author_pubs = _RecordingList(graph.author_pubs)
             build_similarity_graph(block, graph)
@@ -168,7 +168,7 @@ def _check_q_exact(corpora):
         for block in build_blocks(build_gold_standard(records)):
             wg = build_similarity_graph(block, graph)
             for threshold in (1, 3):
-                base = cluster_block(block, graph, threshold)
+                (base,) = cluster_block(block, graph, [threshold])
                 refined, report = refine_with_report(block, base, graph)
                 if not wg.edges:
                     assert report["q_before"] is report["q_after"] is None
@@ -367,7 +367,7 @@ def test_refinement_splits_bridged_authors():
     records = _planted_block()
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    base = cluster_block(block, graph, 3)
+    (base,) = cluster_block(block, graph, [3])
     assert len(clusters_of(base)) == 1  # bridge over-merges at threshold 3
     refined, _ = refine_with_report(block, base, graph)
     groups = sorted((sorted(v) for v in clusters_of(refined).values()))
@@ -390,7 +390,7 @@ def test_refinement_fixed_point():
     ]
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    base = cluster_block(block, graph, 3)
+    (base,) = cluster_block(block, graph, [3])
     refined, _ = refine_with_report(block, base, graph)
     assert refined.assignment == base.assignment
 
@@ -403,7 +403,7 @@ def test_isolated_members_stay_singletons():
     ]
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    base = cluster_block(block, graph, 3)
+    (base,) = cluster_block(block, graph, [3])
     refined, report = refine_with_report(block, base, graph)
     assert clusters_of(refined)[min({"p3"})] == frozenset({"p3"})
     assert report["communities"] == 2
@@ -413,7 +413,7 @@ def test_report_fields():
     records = _planted_block()
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    base = cluster_block(block, graph, 3)
+    (base,) = cluster_block(block, graph, [3])
     refined, report = refine_with_report(block, base, graph)
     assert report["q_after"] > report["q_before"]
     assert report["passes"] >= 1
@@ -457,7 +457,7 @@ def test_refinement_matches_definitional_louvain():
         for block in build_blocks(build_gold_standard(records)):
             labels, passes, q = _louvain_matches_oracle(build_similarity_graph(block, graph))
             for threshold in (1, 3):
-                base = cluster_block(block, graph, threshold)
+                (base,) = cluster_block(block, graph, [threshold])
                 refined, report = refine_with_report(block, base, graph)
                 assert oracles.partition_from_labels(refined.assignment) == \
                     oracles.partition_from_labels(labels)

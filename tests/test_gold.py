@@ -55,11 +55,6 @@ def test_build_blocks(wei_li_corpus):
     assert len(set(block.gold_label.values())) == 2
 
 
-def test_gold_label_partitions_members(wei_li_corpus):
-    block = build_blocks(build_gold_standard(wei_li_corpus))[0]
-    assert set(block.gold_label) == set(block.members)
-
-
 def test_conflicting_gold_assignment_rejected():
     gold = {"X Y": {"X Y 0001": {"p1"}, "X Y 0002": {"p1"}}}
     with pytest.raises(DataIntegrityError):

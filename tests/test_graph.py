@@ -30,7 +30,7 @@ def fig1_graph(fig1_records):
 
 def test_structure(fig1_graph):
     g = fig1_graph
-    assert g.n_pubs == 5
+    assert len(g.pub_keys) == 5
     # suffixes are stripped: 'Daniel Schall 0001' -> author node 'Daniel Schall'
     assert "Daniel Schall" in g.author_index
     assert len(g.pub_authors[g.pub_id("k/p1")]) == 2
@@ -40,7 +40,7 @@ def test_structure(fig1_graph):
 
 def test_records_without_mentions_excluded():
     g = build_graph([rec("p1", "A B"), rec("p2")])
-    assert g.n_pubs == 1
+    assert len(g.pub_keys) == 1
 
 
 def test_one_shot_generator_builds_the_same_graph():
@@ -50,7 +50,7 @@ def test_one_shot_generator_builds_the_same_graph():
     from_gen = build_graph(r for r in records)
     for attr in GRAPH_FIELDS:
         assert getattr(from_gen, attr) == getattr(from_list, attr), attr
-    assert from_gen.n_pubs == len(records) - 1
+    assert len(from_gen.pub_keys) == len(records) - 1
 
 
 def test_duplicate_record_id_rejected():

@@ -34,7 +34,7 @@ def test_zero_bridge_rate_gives_perfect_precision():
     graph = build_graph(records)
     for block in build_blocks(build_gold_standard(records)):
         for threshold in (1, 3):
-            c = cluster_block(block, graph, threshold)
+            (c,) = cluster_block(block, graph, [threshold])
             assert block_scores(c, block).precision == 1.0
 
 
@@ -44,6 +44,6 @@ def test_single_author_connected_pool_scores_perfectly():
         pubs_per_author=(6, 10), pool_factor=0.3, seed=4))
     graph = build_graph(records)
     for block in build_blocks(build_gold_standard(records)):
-        c = cluster_block(block, graph, 1)
+        (c,) = cluster_block(block, graph, [1])
         s = block_scores(c, block)
         assert (s.precision, s.recall, s.f) == (1.0, 1.0, 1.0)
