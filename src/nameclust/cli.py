@@ -140,7 +140,14 @@ def _fresh_file_beside(path, owned: contextlib.ExitStack) -> str:
         return tmp
 
 
+def _distinct_outputs(args) -> None:
+    """Reject one file named for both outputs: the gold would replace the records."""
+    if os.path.realpath(args.records_out) == os.path.realpath(args.gold_out):
+        raise UsageError(f"--records-out and --gold-out name the same file: {args.gold_out}")
+
+
 def cmd_ingest(args) -> int:
+    _distinct_outputs(args)
     config = read_config(args.config) if args.config else {}
     min_gold = _setting(args, config, "min_gold_authors")
     if min_gold < 1:
@@ -179,6 +186,7 @@ def cmd_synth(args) -> int:
     # imported here: no other command generates a corpus
     from .synth import SynthConfig, generate_corpus
 
+    _distinct_outputs(args)
     cfg = SynthConfig(
         blocks=args.blocks,
         authors_per_block=(args.authors_min, args.authors_max),

@@ -4,10 +4,11 @@ Used to split over-merged clusters of common names: edges carry weight
 2.0 for publications sharing a co-author and 1.0 for co-author-of-
 co-author links, and greedy modularity maximization regroups the block.
 
-The pipeline refines each block on dense integer ids from start to
-finish: a list-of-dict adjacency over the block's members, Louvain on
-that adjacency, and modularity read from Louvain's own state. Work
-whose answer is already known is not redone. The adjacency reads the
+The refinement runs on dense integer ids from start to finish, through
+three functions: ``build_similarity_graph`` gives the block's members
+and a list-of-dict adjacency over them, ``louvain`` partitions that
+adjacency, and ``modularity`` scores a partition of it. Work whose
+answer is already known is not redone. The adjacency reads the
 publication list of each non-focal author of the block's members once
 per block, and no other author's.
 After its first sweep, a level of Louvain keeps each node's weight to
@@ -20,15 +21,12 @@ from the similarity graph). Every sum and difference of such weights is
 then an exact integer, while the total stays below 2**53, so it comes
 out the same whatever the order of additions and subtractions. That
 exactness is why the kept-current weights give the very floats a rescan
-gives, and so the same candidates, gains and moves. ``louvain`` rejects
-any other weight with ``ValueError``.
-``build_similarity_graph`` and ``louvain`` adapt the same core to
-string-node callers.
+gives, and so the same candidates, gains and moves, and why the Q that
+``louvain`` reads from its final level equals ``modularity`` of its
+partition. ``louvain`` rejects any other weight with ``ValueError``.
 """
 
 from __future__ import annotations
-
-import collections
 
 from .cluster import Clustering, groups_to_clustering
 from .errors import UndefinedModularityError
@@ -39,23 +37,7 @@ from .graph import pubs_within  # noqa: F401  kept in this namespace for perfben
 MAX_PASSES = 100  # cap on Louvain aggregation levels
 
 
-class WeightedPubGraph(collections.namedtuple("WeightedPubGraph", ["nodes", "edges"])):
-    """nodes: a tuple of record ids; edges: (u, v) with u < v -> weight."""
-
-    __slots__ = ()
-
-    @property
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
-
-
-# assignment: node -> dense community id; q: modularity or None; passes:
-# Louvain levels run
-Partition = collections.namedtuple("Partition", ["assignment", "q", "passes"],
-                                   defaults=(None, 0))
-
-
-def _similarity_adjacency(b: Block, g: BipartiteGraph):
+def build_similarity_graph(b: Block, g: BipartiteGraph):
     """The block's members in ascending record id (and so publication
     id) order, and their similarity adjacency over those local ids:
     ``adj[i][j]`` is 2.0 when members i and j share a co-author other
@@ -95,35 +77,30 @@ def _similarity_adjacency(b: Block, g: BipartiteGraph):
     return nodes, adj
 
 
-def build_similarity_graph(b: Block, g: BipartiteGraph) -> WeightedPubGraph:
-    """Edges between block members at co-author order 1 (weight 2.0) or
-    minimal order 2 (weight 1.0); the block's own author node is excluded."""
-    nodes, adj = _similarity_adjacency(b, g)
-    edges = {(nodes[i], nodes[j]): w
-             for i, row in enumerate(adj) for j, w in row.items() if j > i}
-    return WeightedPubGraph(nodes=tuple(nodes), edges=edges)
-
-
-def modularity(g: WeightedPubGraph, p: Partition, resolution: float = 1.0) -> float:
-    """Weighted Newman-Girvan modularity with multiplicative resolution:
-    Q = sum_c [ W_in(c)/W - resolution * (S(c) / 2W)^2 ]."""
-    if set(p.assignment) != set(g.nodes):
-        raise ValueError("partition must cover exactly the graph's nodes")
-    total = g.total_weight
-    if total <= 0:
+def modularity(adj, labels, resolution: float = 1.0) -> float:
+    """Weighted Newman-Girvan modularity with multiplicative resolution
+    of the partition that gives node i the community ``labels[i]``:
+    Q = sum_c [ W_in(c)/W - resolution * (S(c) / 2W)^2 ], summed over the
+    communities in ascending label order."""
+    if len(labels) != len(adj):
+        raise ValueError("labels must cover exactly the adjacency's nodes")
+    k = [sum(row.values()) for row in adj]
+    total = sum(k) / 2.0
+    if not total:
         raise UndefinedModularityError("modularity undefined on an edgeless graph")
-    w_in: dict[int, float] = {}
-    degree: dict[int, float] = {}
-    for (u, v), w in g.edges.items():
-        cu, cv = p.assignment[u], p.assignment[v]
-        degree[cu] = degree.get(cu, 0.0) + w
-        degree[cv] = degree.get(cv, 0.0) + w
-        if cu == cv:
-            w_in[cu] = w_in.get(cu, 0.0) + w
+    number = {c: d for d, c in enumerate(sorted(set(labels)))}
+    comm = [number[c] for c in labels]
+    w_in = [0.0] * len(number)
+    degree = [0.0] * len(number)
+    for i, row in enumerate(adj):
+        c = comm[i]
+        degree[c] += k[i]
+        for j, w in row.items():
+            if j > i and comm[j] == c:
+                w_in[c] += w
     q = 0.0
-    for c in sorted(set(p.assignment.values())):  # fixed float summation order
-        s = degree.get(c, 0.0)
-        q += w_in.get(c, 0.0) / total - resolution * (s / (2.0 * total)) ** 2
+    for c in range(len(number)):
+        q += w_in[c] / total - resolution * (degree[c] / (2.0 * total)) ** 2
     return q
 
 
@@ -210,9 +187,11 @@ def _local_move(adj, k, total, resolution):
     return comm, (new_adj, [sigma[c] for c in labels])
 
 
-def _louvain(adj, total, resolution):
+def louvain(adj, resolution: float = 1.0):
     """Two-phase greedy modularity maximization on a symmetric
-    list-of-dict adjacency of total edge weight ``total``.
+    list-of-dict adjacency, deterministic: nodes are visited in ascending
+    id order. Every edge weight must be a positive integer (see the
+    module docstring); any other raises ``ValueError``.
 
     Returns (labels, passes, q): each node's community, numbered densely
     by the community's lowest node id, the number of aggregation levels,
@@ -224,10 +203,14 @@ def _louvain(adj, total, resolution):
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    for w in set().union(*map(dict.values, adj)):
+        if not (w > 0 and float(w).is_integer()):
+            raise ValueError(f"edge weight {w!r}: weights must be positive integers")
     n = len(adj)
+    k = [sum(row.values()) for row in adj]
+    total = sum(k) / 2.0
     if not total:
         return list(range(n)), 0, None
-    k = [sum(row.values()) for row in adj]
     node_to_super = list(range(n))
     passes = 0
     while passes < MAX_PASSES:
@@ -249,25 +232,6 @@ def _louvain(adj, total, resolution):
     return [first_seen[s] for s in node_to_super], passes, q
 
 
-def louvain(g: WeightedPubGraph, resolution: float = 1.0) -> Partition:
-    """Two-phase greedy modularity maximization, deterministic: nodes are
-    visited in sorted id order. Every edge weight must be a positive
-    integer (see the module docstring); any other raises ``ValueError``."""
-    for (u, v), w in g.edges.items():
-        if not (w > 0 and float(w).is_integer()):
-            raise ValueError(
-                f"edge ({u!r}, {v!r}) has weight {w!r}; weights must be positive integers")
-    nodes = list(g.nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    adj: list[dict[int, float]] = [dict() for _ in nodes]
-    for (u, v), w in g.edges.items():
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = adj[iu].get(iv, 0.0) + w
-        adj[iv][iu] = adj[iv].get(iu, 0.0) + w
-    labels, passes, q = _louvain(adj, g.total_weight, resolution)
-    return Partition(assignment=dict(zip(nodes, labels)), q=q, passes=passes)
-
-
 def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
                        resolution: float = 1.0):
     """Re-cluster the block by Louvain communities of its similarity graph.
@@ -275,27 +239,10 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
     Returns (Clustering, report) where the report carries modularity
     before/after, pass count, and community count for the JSON export.
     """
-    nodes, adj = _similarity_adjacency(b, g)
-    k = [sum(row.values()) for row in adj]
-    total = sum(k) / 2.0
-    labels, passes, q_after = _louvain(adj, total, resolution)
-    q_before = None
-    if total:
-        # the base clusters numbered in cluster-id order; one pass over
-        # the edges for each cluster's internal weight and degree sum
-        number = {cid: c for c, cid in enumerate(sorted(set(base.assignment.values())))}
-        cluster_of = [number[base.assignment[rid]] for rid in nodes]
-        w_in = [0.0] * len(number)
-        degree = [0.0] * len(number)
-        for i, row in enumerate(adj):
-            c = cluster_of[i]
-            degree[c] += k[i]
-            for j, w in row.items():
-                if j > i and cluster_of[j] == c:
-                    w_in[c] += w
-        q_before = 0.0
-        for c in range(len(number)):
-            q_before += w_in[c] / total - resolution * (degree[c] / (2.0 * total)) ** 2
+    nodes, adj = build_similarity_graph(b, g)
+    labels, passes, q_after = louvain(adj, resolution)
+    q_before = None if q_after is None else modularity(
+        adj, [base.assignment[rid] for rid in nodes], resolution)
     groups: list[list[str]] = [[] for _ in range(max(labels) + 1)]
     for rid, label in zip(nodes, labels):
         groups[label].append(rid)

@@ -1,5 +1,9 @@
 """Shared test inputs.
 
+``wgraph`` makes a graph on string nodes, and ``similarity_graph``,
+``louvain`` and ``modularity`` run the package's dense-id community
+functions on such graphs and read their results back by node.
+
 The fixed graph family checks Louvain against exhaustive search. All
 its graphs have at most 12 nodes so the set-partition argmax stays
 enumerable: bridged cliques, stars, paths, and planted two-community
@@ -10,16 +14,51 @@ DBLP XML of many parser reads, and ``FailingStream`` a caller stream that
 fails part-way.
 """
 
+import collections
 import io
 import itertools
 import random
 
 from conftest import rec
-from nameclust.community import WeightedPubGraph
+from nameclust import community
+
+# nodes: sorted node names; edges: (u, v) -> weight, each edge once
+StringGraph = collections.namedtuple("StringGraph", ["nodes", "edges"])
+# assignment: node -> dense community id; q: modularity or None; passes:
+# Louvain levels run
+Partition = collections.namedtuple("Partition", ["assignment", "q", "passes"])
 
 
-def _wg(nodes, edges):
-    return WeightedPubGraph(nodes=tuple(sorted(nodes)), edges=dict(edges))
+def wgraph(nodes, edges):
+    return StringGraph(nodes=tuple(sorted(nodes)), edges=dict(edges))
+
+
+def _adjacency(g):
+    index = {u: i for i, u in enumerate(g.nodes)}
+    adj = [{} for _ in g.nodes]
+    for (u, v), w in g.edges.items():
+        iu, iv = index[u], index[v]
+        adj[iu][iv] = adj[iu].get(iv, 0.0) + w
+        adj[iv][iu] = adj[iv].get(iu, 0.0) + w
+    return adj
+
+
+def similarity_graph(block, graph):
+    """``community.build_similarity_graph`` on record ids."""
+    nodes, adj = community.build_similarity_graph(block, graph)
+    return wgraph(nodes, {(nodes[i], nodes[j]): w
+                          for i, row in enumerate(adj) for j, w in row.items() if j > i})
+
+
+def louvain(g, resolution=1.0):
+    """``community.louvain`` on ``g``, its labels keyed by node."""
+    labels, passes, q = community.louvain(_adjacency(g), resolution)
+    return Partition(assignment=dict(zip(g.nodes, labels)), q=q, passes=passes)
+
+
+def modularity(g, assignment, resolution=1.0):
+    """``community.modularity`` of the node -> community map ``assignment``."""
+    return community.modularity(_adjacency(g), [assignment[u] for u in g.nodes], resolution)
 
 
 def _clique(nodes, weight=1.0):
@@ -31,17 +70,17 @@ def bridged_cliques(size_a=5, size_b=5, weight=1.0):
     right = [f"r{i}" for i in range(size_b)]
     edges = {**_clique(left, weight), **_clique(right, weight),
              ("l0", "r0"): 1.0}
-    return _wg(left + right, edges)
+    return wgraph(left + right, edges)
 
 
 def star(n_leaves, weight=1.0):
     nodes = ["hub"] + [f"s{i}" for i in range(n_leaves)]
-    return _wg(nodes, {("hub", f"s{i}"): weight for i in range(n_leaves)})
+    return wgraph(nodes, {("hub", f"s{i}"): weight for i in range(n_leaves)})
 
 
 def path(n, weight=1.0):
     nodes = [f"n{i}" for i in range(n)]
-    return _wg(nodes, {(f"n{i}", f"n{i+1}"): weight for i in range(n - 1)})
+    return wgraph(nodes, {(f"n{i}", f"n{i+1}"): weight for i in range(n - 1)})
 
 
 def planted_two_communities(size=5, inter_edges=2, seed=0):
@@ -58,7 +97,7 @@ def planted_two_communities(size=5, inter_edges=2, seed=0):
             edges[(u, v)] = 2.0
     for i in range(inter_edges):
         edges[(left[i % size], right[(i * 2) % size])] = 1.0
-    return _wg(left + right, edges)
+    return wgraph(left + right, edges)
 
 
 def fixed_louvain_graphs():

@@ -17,7 +17,7 @@ from conftest import clusters_of
 from nameclust.bcubed import block_scores, corpus_scores, item_scores
 from nameclust.cli import main as cli_main
 from nameclust.cluster import cluster_block, count_comparisons
-from nameclust.community import Partition, louvain, modularity, refine_with_report
+from nameclust.community import refine_with_report
 from nameclust.dblp_xml import parse_dblp
 from nameclust.gold import build_blocks, build_gold_standard, sample_blocks
 from nameclust.graph import build_graph
@@ -95,7 +95,7 @@ def test_criterion_2_and_3_components_and_audit():
 def test_criterion_4_louvain_desk_scale():
     start = time.perf_counter()
     for name, g in sorted(cases.fixed_louvain_graphs().items()):
-        part = louvain(g)
+        part = cases.louvain(g)
         best_q, _ = oracles.oracle_best_partition(g.nodes, g.edges)
         assert abs(part.q - best_q) < 1e-9, name
 
@@ -110,10 +110,10 @@ def test_criterion_4_louvain_desk_scale():
                     edges[(nodes[i], nodes[j])] = rng.choice([1.0, 2.0])
         if not edges:
             edges[(nodes[0], nodes[1])] = 1.0
-        wg = cases._wg(nodes, edges)
-        part = louvain(wg)
-        singles = Partition(assignment={u: i for i, u in enumerate(nodes)})
-        assert part.q >= modularity(wg, singles) - 1e-12
+        wg = cases.wgraph(nodes, edges)
+        part = cases.louvain(wg)
+        singles = {u: i for i, u in enumerate(nodes)}
+        assert part.q >= cases.modularity(wg, singles) - 1e-12
     _report(4, "fixed set == exhaustive argmax @1e-9; Q >= Q(singletons) on 1000 graphs",
             time.perf_counter() - start, 120)
 

@@ -225,6 +225,21 @@ def test_ingest_process_writes_each_output_once(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == (tmp_path / alone).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_one_file_for_both_outputs_exits_1_before_reading_input(tmp_path, capsys, command):
+    # the gold standard, written second, would replace the records; the
+    # second name reaches the same file through a symlinked directory
+    (tmp_path / "out").mkdir()
+    (tmp_path / "link").symlink_to("out")
+    argv = ["--input", tmp_path / "missing.xml"] if command == "ingest" else []
+    assert run_cli(command, *argv, "--records-out", tmp_path / "out" / "both.json",
+                   "--gold-out", tmp_path / "link" / "both.json") == 1
+    err = capsys.readouterr().err
+    assert err == ("nameclust: error: --records-out and --gold-out name the same file: "
+                   f"{tmp_path / 'link' / 'both.json'}\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--bridge-rate", 1.5], "bridge rate must be in [0, 1], got 1.5"),
     (["--pubs-min", 3, "--pubs-max", 1], "publications per author must satisfy"),

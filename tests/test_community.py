@@ -6,24 +6,14 @@ import pytest
 
 import cases
 import oracles
+from cases import louvain, modularity, similarity_graph, wgraph
 from conftest import clusters_of, rec
 from nameclust import community
 from nameclust.cluster import cluster_block
-from nameclust.community import (
-    Partition,
-    WeightedPubGraph,
-    build_similarity_graph,
-    louvain,
-    modularity,
-    refine_with_report,
-)
+from nameclust.community import refine_with_report
 from nameclust.errors import UndefinedModularityError
 from nameclust.gold import build_blocks, build_gold_standard
 from nameclust.graph import build_graph
-
-
-def wgraph(nodes, edges):
-    return WeightedPubGraph(nodes=tuple(sorted(nodes)), edges=dict(edges))
 
 
 def clique_edges(nodes, weight=1.0):
@@ -43,9 +33,9 @@ def two_cliques_with_bridge():
 def test_similarity_graph_weights(fig1_records):
     graph = build_graph(fig1_records)
     blocks = {b.block_key: b for b in build_blocks(build_gold_standard(fig1_records))}
-    ds = build_similarity_graph(blocks["Daniel Schall"], graph)
+    ds = similarity_graph(blocks["Daniel Schall"], graph)
     assert ds.edges == {("k/p1", "k/p2"): 2.0}
-    ed = build_similarity_graph(blocks["Eric Dubois"], graph)
+    ed = similarity_graph(blocks["Eric Dubois"], graph)
     assert ed.edges == {("k/p3", "k/p4"): 1.0}
 
 
@@ -53,7 +43,7 @@ def test_similarity_graph_no_links():
     records = [rec("p1", "X Y 0001", "A A"), rec("p2", "X Y 0002", "B B")]
     graph = build_graph(records)
     block = build_blocks(build_gold_standard(records))[0]
-    wg = build_similarity_graph(block, graph)
+    wg = similarity_graph(block, graph)
     assert wg.edges == {}
     assert wg.nodes == ("p1", "p2")
 
@@ -77,7 +67,7 @@ def test_similarity_graph_components_are_threshold_clusters():
         records = cases.shared_coauthor_corpus(rng)
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            wg = build_similarity_graph(block, graph)
+            wg = similarity_graph(block, graph)
             strong = [e for e, w in wg.edges.items() if w == 2.0]
             for threshold, edges in ((1, strong), (3, list(wg.edges))):
                 (c,) = cluster_block(block, graph, [threshold])
@@ -89,14 +79,14 @@ def test_similarity_graph_components_are_threshold_clusters():
 
 
 def _check_similarity_edges(corpora):
-    """Check ``build_similarity_graph`` against the BFS oracle on every
+    """Check ``similarity_graph`` against the BFS oracle on every
     block of ``corpora``; returns the weights of all edges."""
     weights = []
     for records in corpora:
         graph = build_graph(records)
         nxg = oracles.build_nx_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            wg = build_similarity_graph(block, graph)
+            wg = similarity_graph(block, graph)
             assert wg.nodes == tuple(sorted(block.gold_label))
             assert wg.edges == oracles.oracle_similarity_edges(
                 nxg, block.gold_label, block.block_key), block.block_key
@@ -145,7 +135,7 @@ def test_similarity_graph_reads_only_the_members_authors():
             a1 = {a for rid in block.gold_label for a in graph.pub_authors[graph.pub_id(rid)]
                   if a != focal}
             graph.author_pubs = _RecordingList(graph.author_pubs)
-            build_similarity_graph(block, graph)
+            similarity_graph(block, graph)
             asked = graph.author_pubs.asked
             assert set(asked) <= a1 and len(asked) == len(set(asked)), block.block_key
 
@@ -155,8 +145,8 @@ def test_similarity_graph_reads_only_the_members_authors():
 
 def _as_partition(c):
     """A clustering as a partition numbered in cluster-id order."""
-    return Partition(assignment={rid: i for i, cid in enumerate(sorted(clusters_of(c)))
-                                 for rid in clusters_of(c)[cid]})
+    return {rid: i for i, cid in enumerate(sorted(clusters_of(c)))
+            for rid in clusters_of(c)[cid]}
 
 
 def _check_q_exact(corpora):
@@ -166,7 +156,7 @@ def _check_q_exact(corpora):
     for records in corpora:
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            wg = build_similarity_graph(block, graph)
+            wg = similarity_graph(block, graph)
             for threshold in (1, 3):
                 (base,) = cluster_block(block, graph, [threshold])
                 refined, report = refine_with_report(block, base, graph)
@@ -194,26 +184,24 @@ def test_refinement_q_is_modularity_exactly(monkeypatch):
 
 def test_single_edge_together():
     g = wgraph(["a", "b"], {("a", "b"): 1.0})
-    p = Partition(assignment={"a": 0, "b": 0})
+    p = {"a": 0, "b": 0}
     assert modularity(g, p, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_single_edge_split():
     g = wgraph(["a", "b"], {("a", "b"): 1.0})
-    p = Partition(assignment={"a": 0, "b": 1})
+    p = {"a": 0, "b": 1}
     assert modularity(g, p, 1.0) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_modularity_edgeless_undefined():
-    g = wgraph(["a", "b"], {})
     with pytest.raises(UndefinedModularityError):
-        modularity(g, Partition(assignment={"a": 0, "b": 1}))
+        community.modularity([{}, {}], [0, 1])
 
 
 def test_modularity_partition_must_cover():
-    g = wgraph(["a", "b"], {("a", "b"): 1.0})
     with pytest.raises(ValueError):
-        modularity(g, Partition(assignment={"a": 0}))
+        community.modularity([{1: 1.0}, {0: 1.0}], [0])
 
 
 def _random_wgraph(rng, n):
@@ -233,7 +221,7 @@ def test_modularity_matches_double_loop_oracle(resolution):
     for _ in range(50):
         g = _random_wgraph(rng, rng.randint(2, 10))
         labels = {u: rng.randint(0, 3) for u in g.nodes}
-        got = modularity(g, Partition(assignment=labels), resolution)
+        got = modularity(g, labels, resolution)
         want = oracles.oracle_modularity(g.nodes, g.edges, labels, resolution)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -279,14 +267,13 @@ def test_beats_singletons_on_random_graphs():
     for _ in range(100):
         g = _random_wgraph(rng, rng.randint(3, 14))
         part = louvain(g)
-        singletons = Partition(assignment={u: i for i, u in enumerate(g.nodes)})
+        singletons = {u: i for i, u in enumerate(g.nodes)}
         assert part.q >= modularity(g, singletons) - 1e-12
 
 
 def test_resolution_validated():
-    g = wgraph(["a", "b"], {("a", "b"): 1.0})
     with pytest.raises(ValueError):
-        louvain(g, resolution=0.0)
+        community.louvain([{1: 1.0}, {0: 1.0}], resolution=0.0)
 
 
 def test_never_exceeds_exhaustive_maximum():
@@ -376,7 +363,7 @@ def test_refinement_splits_bridged_authors():
         [f"p2{j}" for j in range(5)],
     ]
     # check against the exhaustive modularity argmax on the same graph
-    wg = build_similarity_graph(block, graph)
+    wg = similarity_graph(block, graph)
     best_q, best = oracles.oracle_best_partition(wg.nodes, wg.edges)
     assert oracles.partition_from_labels(best) == \
         oracles.partition_from_labels({r: g for g, grp in enumerate(groups) for r in grp})
@@ -455,7 +442,7 @@ def test_refinement_matches_definitional_louvain():
         records = cases.shared_coauthor_corpus(rng)
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            labels, passes, q = _louvain_matches_oracle(build_similarity_graph(block, graph))
+            labels, passes, q = _louvain_matches_oracle(similarity_graph(block, graph))
             for threshold in (1, 3):
                 (base,) = cluster_block(block, graph, [threshold])
                 refined, report = refine_with_report(block, base, graph)
@@ -469,6 +456,6 @@ def test_refinement_matches_definitional_louvain():
 
 @pytest.mark.parametrize("weight", [0.5, 0, -1.0])
 def test_louvain_rejects_weight_that_is_not_a_positive_integer(weight):
-    g = wgraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): weight})
+    adj = [{1: 1.0}, {0: 1.0, 2: weight}, {1: weight}]
     with pytest.raises(ValueError, match="positive integers"):
-        louvain(g)
+        community.louvain(adj)
