@@ -212,7 +212,8 @@ def cmd_synth(args) -> int:
 def _inputs(args, choose):
     """The graph of ``--records`` and the gold blocks of ``--gold`` that
     ``choose`` keeps. Every kept gold record must be an authored record,
-    and every kept block name an author, in the records."""
+    and every kept block name an author, in the records, and each such
+    record must name its block's author."""
     # the graph holds no reference cycles and lives until the process
     # exits, so no collection need scan it: none runs while it is built
     # (in the child that reads half of it, too), and it is frozen out of
@@ -235,6 +236,13 @@ def _inputs(args, choose):
         if b.block_key not in graph.author_index:
             raise DataIntegrityError(
                 f"block {b.block_key!r} is not an author name in --records")
+    strays = [(rid, b.block_key) for b in blocks for rid in b.gold_label
+              if graph.author_index[b.block_key] not in graph.pub_authors[graph.pub_index[rid]]]
+    if strays:
+        rid, key = min(strays)
+        raise DataIntegrityError(
+            f"gold record {rid!r} of block {key!r} does not name {key!r} as an author "
+            f"in --records")
     return graph, blocks
 
 

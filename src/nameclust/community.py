@@ -38,8 +38,8 @@ MAX_PASSES = 100  # cap on Louvain aggregation levels
 
 
 def build_similarity_graph(b: Block, g: BipartiteGraph):
-    """The block's members in ascending record id (and so publication
-    id) order, and their similarity adjacency over those local ids:
+    """The block's members in ascending record id order, and their
+    similarity adjacency over their positions there as local ids:
     ``adj[i][j]`` is 2.0 when members i and j share a co-author other
     than the block's own author node, 1.0 when they are co-author-of-
     co-author linked at minimal order 2, and absent otherwise.

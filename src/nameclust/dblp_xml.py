@@ -56,7 +56,7 @@ def _open_stream(source, owned: contextlib.ExitStack):
     """
     if source == "-":
         stream = sys.stdin.buffer
-    elif isinstance(source, (str, bytes)):
+    elif isinstance(source, (str, bytes, os.PathLike)):
         stream = owned.enter_context(open(source, "rb"))
     else:
         stream = source

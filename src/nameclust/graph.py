@@ -1,9 +1,8 @@
 """Bipartite author-publication network and its bounded co-author reach.
 
 The graph is immutable after construction. Adjacency is two lists of
-sorted id tuples over dense integer ids; publication ids follow sorted
-record_id order and author ids follow sorted name order, so traversal
-order (and every downstream tie-break) is deterministic.
+id tuples over dense integer ids, numbered in the order the input first
+gives each publication and author name; no output depends on that order.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ class BipartiteGraph:
         self.pub_index: dict[str, int] = pub_index
         self.author_names: list[str] = author_names
         self.author_index: dict[str, int] = author_index
-        # pub_authors[p]: author ids of publication p; author_pubs[a]:
-        # publication ids of author a; both ascending tuples
+        # pub_authors[p]: author ids of publication p, in the record's
+        # order; author_pubs[a]: ascending publication ids of author a
         self.pub_authors: list[tuple[int, ...]] = pub_authors
         self.author_pubs: list[tuple[int, ...]] = author_pubs
 
@@ -49,53 +48,43 @@ class BipartiteGraph:
             raise UnknownNodeError(f"unknown author {name!r}") from None
 
 
-def _assemble(rows, names: dict[str, int], parts=()) -> BipartiteGraph:
+def _assemble(rows, author_index: dict[str, int], parts=()) -> BipartiteGraph:
     """The graph of ``rows``, pairs of a record id and the distinct ids
-    its author names have in ``names``, which maps every name to a dense
-    id in the order it was first seen, followed by the rows of ``parts``.
+    its author names have in ``author_index``, which maps every name to a
+    dense id in the order it was first seen, followed by the rows of
+    ``parts``. Publications are numbered in the order their rows come.
 
     Each part, taken once ``rows`` is consumed, is a list of the record
     ids of later rows, a list of their distinct author ids and the list
-    of the author names those ids index. Rows are consumed once. Two rows
-    with one id raise ``DataIntegrityError`` before any later row or part
-    is taken.
+    of the author names those ids index; each of those names is passed
+    once through ``author_index``. Rows are consumed once. Two rows with
+    one id raise ``DataIntegrityError`` before any later row or part is
+    taken.
     """
-    first = {}  # record id -> its row's position in ``stream``
-    stream = []
+    pub_index: dict[str, int] = {}
+    pub_authors = []
     for record_id, ids in rows:
-        if first.setdefault(record_id, len(stream)) != len(stream):
+        if pub_index.setdefault(record_id, len(pub_authors)) != len(pub_authors):
             raise _twice(record_id)
-        stream.append(ids)
-    # (end of a run of rows in ``stream``, the names their author ids index)
-    runs = [(len(stream), list(names))]
-    for keys, authors, part_names in parts:
-        start = len(stream)
+        pub_authors.append(tuple(ids))
+    for keys, authors, names in parts:
+        start = len(pub_authors)
         part = dict(zip(keys, range(start, start + len(keys))))
-        if len(part) < len(keys) or not first.keys().isdisjoint(part):
+        if len(part) < len(keys) or not pub_index.keys().isdisjoint(part):
             seen = set()
             for record_id in keys:
-                if record_id in first or record_id in seen:
+                if record_id in pub_index or record_id in seen:
                     raise _twice(record_id)
                 seen.add(record_id)
-        first.update(part)
-        stream += authors
-        runs.append((len(stream), part_names))
-    author_names = sorted(set().union(*(run_names for _, run_names in runs)))
-    author_index = dict(zip(author_names, range(len(author_names))))
-    start = 0
-    for end, run_names in runs:
-        rank = list(map(author_index.__getitem__, run_names)).__getitem__
-        stream[start:end] = [tuple(sorted(map(rank, ids))) for ids in stream[start:end]]
-        start = end
-    pub_keys = sorted(first)
-    pub_authors = list(map(stream.__getitem__, map(first.__getitem__, pub_keys)))
-    del stream, first
-    author_pubs = [[] for _ in author_names]
+        pub_index.update(part)
+        rank = [author_index.setdefault(name, len(author_index)) for name in names].__getitem__
+        pub_authors += [tuple(map(rank, ids)) for ids in authors]
+    author_pubs = [[] for _ in author_index]
     for p, authors in enumerate(pub_authors):
         for a in authors:
             author_pubs[a].append(p)
-    return BipartiteGraph(pub_keys, dict(zip(pub_keys, range(len(pub_keys)))), pub_authors,
-                          author_names, author_index, list(map(tuple, author_pubs)))
+    return BipartiteGraph(list(pub_index), pub_index, pub_authors, list(author_index),
+                          author_index, list(map(tuple, author_pubs)))
 
 
 def _twice(record_id) -> DataIntegrityError:
@@ -111,11 +100,11 @@ def build_graph(records) -> BipartiteGraph:
     single edge. Two authored records with one id raise
     ``DataIntegrityError``.
     """
-    names: dict[str, int] = {}
-    rows = ((rec.record_id, list(dict.fromkeys([names.setdefault(m.surface_name, len(names))
-                                                for m in rec.mentions])))
+    author_index: dict[str, int] = {}
+    rows = ((rec.record_id, [author_index.setdefault(name, len(author_index)) for name in
+                             dict.fromkeys([m.surface_name for m in rec.mentions])])
             for rec in records if rec.mentions)
-    return _assemble(rows, names)
+    return _assemble(rows, author_index)
 
 
 def load_graph(path) -> BipartiteGraph:
@@ -141,14 +130,14 @@ def _rows(path, *span):
     that ``read_lines(path, ..., *span)`` reads, and the dict of the
     author names those ids index, filled as the rows are taken. A name
     that a record lists twice, or with and without a gold id, is one id."""
-    names: dict[str, int] = {}
+    author_index: dict[str, int] = {}
 
     def author(name, gold_id):
-        return names.setdefault(name, len(names))
+        return author_index.setdefault(name, len(author_index))
 
     rows = ((fields[0], ids if len(set(ids)) == len(ids) else list(dict.fromkeys(ids)))
             for fields, ids in read_lines(path, author, *span) if ids)
-    return rows, names
+    return rows, author_index
 
 
 def _middle_line_end(path):
@@ -179,14 +168,14 @@ def _tail(path, start):
                 break
             lines += chunk.count(b"\n")
             left -= len(chunk)
-    rows, names = _rows(path, start, None, lines + 1)
+    rows, author_index = _rows(path, start, None, lines + 1)
     keys, authors = [], []
     try:
         for record_id, ids in rows:
             keys.append(record_id)
             authors.append(ids)
     finally:
-        yield [keys, authors, list(names)]
+        yield [keys, authors, list(author_index)]
 
 
 def pubs_within(g: BipartiteGraph, p: str, k: int,
@@ -194,7 +183,7 @@ def pubs_within(g: BipartiteGraph, p: str, k: int,
     """All publications at co-author order <= k, mapped to minimal order.
 
     Order k corresponds to intermediate-node distance 2k - 1. Breadth-
-    first over sorted adjacency, so the map is in visiting order; the
+    first in the graph's id order, so the map is in visiting order; the
     author ``excluded_author`` (None for none) is never traversed, and
     ``p`` itself is not included.
     """

@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -16,13 +17,14 @@ import pytest
 import nameclust
 import nameclust.cli
 from cases import FailingStream, long_dblp_document
-from conftest import no_child_left
+from conftest import no_child_left, rec
 import nameclust.graph
 from nameclust.bcubed import block_scores
 from nameclust.cli import _per_block, main, read_config
 from nameclust.cluster import groups_to_clustering
 from nameclust.errors import DataIntegrityError
 from nameclust.gold import Block, build_blocks, read_gold
+from nameclust.records import write_records
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
 
@@ -587,6 +589,23 @@ def test_gold_block_name_missing_from_records_exits_2(tmp_path, synth_corpus, ca
     assert "block 'Nobody Here' is not an author name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["common-names", "--min-block-size", 0]])
+def test_gold_record_not_naming_its_block_exits_2(tmp_path, capsys, argv):
+    records = tmp_path / "records.jsonl"
+    write_records([rec("p1", "X Y 0001", "A A"), rec("p2", "X Y 0002", "A A"),
+                   rec("p3", "Q Q", "A A"), rec("p4", "Q Q", "B B")], records)
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({"X Y": {"X Y 0001": ["p4", "p1", "p3"],
+                                        "X Y 0002": ["p2"]}}))
+    out = tmp_path / "o"
+    assert run_cli(argv[0], "--records", records, "--gold", gold,
+                   "--out-dir", out, *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "gold record 'p3' of block 'X Y' does not name 'X Y' as an author" in err
+    assert "'p4'" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["common-names", "--threshold", 2], None, "threshold must be odd and >= 1, got 2"),
     (["run", "--threshold", 1, "--threshold", 0], None, "threshold must be odd"),
@@ -811,6 +830,35 @@ def test_forked_load_leaves_no_child_and_changes_no_output(tmp_path, large_corpu
                    "--out-dir", tmp_path / "alone", *argv[1:]) == 0
     assert capsys.readouterr().out == forked_out
     assert _outputs(tmp_path / "forked") == _outputs(tmp_path / "alone")
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_outputs_do_not_depend_on_record_order(tmp_path, monkeypatch, capsys, forks, fork):
+    # the graph numbers publications and authors in the order the records
+    # come; no output may follow that order
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 40, "--seed", 2, "--bridge-rate", 0.3) == 0
+    lines = records.read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines))
+    assert shuffled.read_bytes() != records.read_bytes()
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    capsys.readouterr()
+    commands = [["run", "--threshold", 1, "--threshold", 3, "--threshold", 5]]
+    commands += [["common-names", "--min-block-size", 0, "--threshold", t] for t in (1, 3, 5)]
+    for k, argv in enumerate(commands):
+        seen = []
+        for path in (records, shuffled):
+            out = tmp_path / f"{path.stem}{k}"
+            assert run_cli(argv[0], "--records", path, "--gold", gold,
+                           "--out-dir", out, *argv[1:]) == 0
+            seen.append((capsys.readouterr().out, _outputs(out)))
+        assert seen[0] == seen[1], argv
+    assert bool(forks) == fork and no_child_left()
 
 
 def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, monkeypatch,

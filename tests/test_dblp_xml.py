@@ -76,6 +76,20 @@ def test_gzip_input(tmp_path):
     assert len(list(parse_dblp(str(path)))) == 3
 
 
+def test_path_object_reads_as_its_str(tmp_path, forks):
+    # an os.PathLike source is a path: opened by the parse and closed after it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, data in (("long.xml", long_dblp_document()),
+                           ("dump.xml.gz", gzip.compress(MINIMAL))):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert list(parse_dblp(path)) == list(parse_dblp(str(path)))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert forks and no_child_left()
+
+
 def test_opened_files_closed_and_caller_streams_left_open(tmp_path):
     plain = tmp_path / "dump.xml"
     plain.write_bytes(MINIMAL)

@@ -255,10 +255,10 @@ def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
     with open(path, "a") as fh:
         fh.write("\n  \n")  # blank lines
     g = _loaded_both_ways(path)
-    assert g.pub_keys == ["p1", "p2", "p3"]
+    assert g.pub_keys == ["p3", "p1", "p2"]
     assert g.author_names == ["A B", "C D", "E F"]
-    assert g.pub_authors == [(0, 1), (0, 2), (0, 1)]
-    assert g.author_pubs == [(0, 1, 2), (0, 2), (1,)]
+    assert g.pub_authors == [(0, 1), (1, 0), (0, 2)]
+    assert g.author_pubs == [(0, 1, 2), (0, 1), (2,)]
 
 
 def test_load_graph_rejects_a_duplicate_record_id(tmp_path):
