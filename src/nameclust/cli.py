@@ -213,7 +213,8 @@ def _inputs(args, choose):
     """The graph of ``--records`` and the gold blocks of ``--gold`` that
     ``choose`` keeps. Every kept gold record must be an authored record,
     and every kept block name an author, in the records, and each such
-    record must name its block's author."""
+    record must name its block's author. These are the only membership
+    checks: the block stage indexes the graph's tables directly."""
     # the graph holds no reference cycles and lives until the process
     # exits, so no collection need scan it: none runs while it is built
     # (in the child that reads half of it, too), and it is frozen out of
@@ -423,9 +424,11 @@ def cmd_report(args) -> int:
         comparisons = _report_value(path, obj.get("comparisons"), "comparisons", int)
         footer = f"blocks: {blocks}  comparisons: {comparisons}"
         width = 14
-    elif "before" in keys:
-        rows = [(label, _report_scores(path, obj.get(label), label))
-                for label in ("before", "after")]
+    elif "before" in keys or "qualifying_blocks" in keys:
+        # a report of no qualifying blocks has no scores to print
+        empty = "before" not in keys and obj["qualifying_blocks"] == 0
+        rows = [] if empty else [(label, _report_scores(path, obj.get(label), label))
+                                 for label in ("before", "after")]
         qualifying = _report_value(path, obj.get("qualifying_blocks"), "qualifying_blocks", int)
         footer = f"qualifying blocks: {qualifying}"
         width = 8

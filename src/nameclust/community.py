@@ -53,9 +53,9 @@ def build_similarity_graph(b: Block, g: BipartiteGraph):
     weight-2 set; whatever one of its own authors reaches is already in
     the weight-2 set."""
     nodes = sorted(b.gold_label)
-    excluded = g.author_id(b.block_key)
+    excluded = g.author_index[b.block_key]
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
-    member_authors = [[a for a in pub_authors[g.pub_id(rid)] if a != excluded]
+    member_authors = [[a for a in pub_authors[g.pub_index[rid]] if a != excluded]
                       for rid in nodes]
     near: dict[int, set[int]] = {}
     for i, authors in enumerate(member_authors):

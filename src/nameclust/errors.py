@@ -43,9 +43,5 @@ class DataIntegrityError(NameclustError):
     of the wrong shape)."""
 
 
-class UnknownNodeError(NameclustError, KeyError):
-    """A record id or author name not present in the graph."""
-
-
 class UndefinedModularityError(NameclustError):
     """Modularity requested on a graph with no edges."""

@@ -7,10 +7,11 @@ gives each publication and author name; no output depends on that order.
 
 from __future__ import annotations
 
+import collections
 import os
 import stat
 
-from .errors import DataIntegrityError, UnknownNodeError
+from .errors import DataIntegrityError
 from .forked import forked
 from .records import read_lines
 
@@ -18,34 +19,13 @@ from .records import read_lines
 _CHUNK = 1 << 20
 
 
-class BipartiteGraph:
-    def __init__(self, pub_keys, pub_index, pub_authors, author_names, author_index,
-                 author_pubs):
-        self.pub_keys: list[str] = pub_keys
-        self.pub_index: dict[str, int] = pub_index
-        self.author_names: list[str] = author_names
-        self.author_index: dict[str, int] = author_index
-        # pub_authors[p]: author ids of publication p, in the record's
-        # order; author_pubs[a]: ascending publication ids of author a
-        self.pub_authors: list[tuple[int, ...]] = pub_authors
-        self.author_pubs: list[tuple[int, ...]] = author_pubs
-
-    # -- structure ---------------------------------------------------------
-
-    def pub_id(self, record_id: str) -> int:
-        try:
-            return self.pub_index[record_id]
-        except KeyError:
-            raise UnknownNodeError(f"unknown publication {record_id!r}") from None
-
-    def author_id(self, name: str | None) -> int:
-        """Dense id of an author name; -1 for ``None`` (no author)."""
-        if name is None:
-            return -1
-        try:
-            return self.author_index[name]
-        except KeyError:
-            raise UnknownNodeError(f"unknown author {name!r}") from None
+# pub_keys[p] and author_names[a]: the record id and the name of ids p
+# and a, which pub_index and author_index map back; pub_authors[p]: author
+# ids of publication p, in the record's order; author_pubs[a]: ascending
+# publication ids of author a
+BipartiteGraph = collections.namedtuple(
+    "BipartiteGraph",
+    ["pub_keys", "pub_index", "pub_authors", "author_names", "author_index", "author_pubs"])
 
 
 def _assemble(rows, author_index: dict[str, int], parts=()) -> BipartiteGraph:
@@ -189,8 +169,8 @@ def pubs_within(g: BipartiteGraph, p: str, k: int,
     """
     if k < 1:
         raise ValueError("co-author order must be >= 1")
-    src = g.pub_id(p)
-    excluded = g.author_id(excluded_author)
+    src = g.pub_index[p]
+    excluded = -1 if excluded_author is None else g.author_index[excluded_author]
     hops = {src: 0}
     seen_auths = set()
     frontier = [src]

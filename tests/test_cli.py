@@ -23,7 +23,7 @@ from nameclust.bcubed import block_scores
 from nameclust.cli import _per_block, main, read_config
 from nameclust.cluster import groups_to_clustering
 from nameclust.errors import DataIntegrityError
-from nameclust.gold import Block, build_blocks, read_gold
+from nameclust.gold import Block, build_blocks, read_gold, sample_blocks
 from nameclust.records import write_records
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
@@ -404,6 +404,23 @@ def test_report_pretty_print(tmp_path, synth_corpus, capsys):
     assert "threshold=1" in text and "BCubed F" in text
 
 
+def test_report_of_an_empty_common_names_report(tmp_path, synth_corpus, capsys):
+    records, gold = synth_corpus
+    out = tmp_path / "cn"
+    assert run_cli("common-names", "--records", records, "--gold", gold,
+                   "--out-dir", out, "--min-block-size", 10_000) == 0
+    capsys.readouterr()
+    assert run_cli("report", out / "common_names.json") == 0
+    assert capsys.readouterr().out == (
+        "          BCubed P  BCubed R  BCubed F\n"
+        "qualifying blocks: 0\n")
+    # blocks that qualified must have their scores
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"status": "empty", "qualifying_blocks": 2}))
+    assert run_cli("report", path) == 2
+    assert capsys.readouterr().err == f"nameclust: data error: {path}: before is missing\n"
+
+
 @pytest.mark.parametrize("report, message", [
     ({"thresholds": [{"threshold": 1}]}, "thresholds[0].corpus is missing"),
     ({"thresholds": [3]}, "thresholds[0] must be an object, not int"),
@@ -603,6 +620,23 @@ def test_gold_record_not_naming_its_block_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "gold record 'p3' of block 'X Y' does not name 'X Y' as an author" in err
     assert "'p4'" not in err
+    assert not out.exists()
+
+
+def test_gold_conflict_outside_the_sample_exits_2(tmp_path, synth_corpus, capsys):
+    # every block of the gold file is checked, not only the sampled ones
+    records, gold = synth_corpus
+    sampled = {b.block_key for b in sample_blocks(build_blocks(read_gold(gold)), 2, 7)}
+    gold_obj = json.loads(gold.read_text())
+    key = min(set(gold_obj) - sampled)
+    (first, *_), second = list(gold_obj[key].values())[:2]
+    second.append(first)
+    gold.write_text(json.dumps(gold_obj))
+    out = tmp_path / "o"
+    assert run_cli("run", "--records", records, "--gold", gold, "--out-dir", out,
+                   "--sample-count", 2, "--seed", 7) == 2
+    err = capsys.readouterr().err
+    assert f"record {first!r} carries both " in err and f"in block {key!r}" in err
     assert not out.exists()
 
 

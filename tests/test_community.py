@@ -131,12 +131,12 @@ def test_similarity_graph_reads_only_the_members_authors():
         records = cases.hub_corpus(rng)
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            focal = graph.author_id(block.block_key)
-            a1 = {a for rid in block.gold_label for a in graph.pub_authors[graph.pub_id(rid)]
+            focal = graph.author_index[block.block_key]
+            a1 = {a for rid in block.gold_label for a in graph.pub_authors[graph.pub_index[rid]]
                   if a != focal}
-            graph.author_pubs = _RecordingList(graph.author_pubs)
-            similarity_graph(block, graph)
-            asked = graph.author_pubs.asked
+            recording = graph._replace(author_pubs=_RecordingList(graph.author_pubs))
+            similarity_graph(block, recording)
+            asked = recording.author_pubs.asked
             assert set(asked) <= a1 and len(asked) == len(set(asked)), block.block_key
 
 

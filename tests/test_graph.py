@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import counting_fork, no_child_left, rec
 from nameclust import graph
-from nameclust.errors import CorpusParseError, DataIntegrityError, UnknownNodeError
+from nameclust.errors import CorpusParseError, DataIntegrityError
 from nameclust.graph import build_graph, load_graph, pubs_within
 from nameclust.records import (AuthorMention, RawRecord, read_records, record_to_json,
                                write_records)
@@ -33,9 +33,15 @@ def test_structure(fig1_graph):
     assert len(g.pub_keys) == 5
     # suffixes are stripped: 'Daniel Schall 0001' -> author node 'Daniel Schall'
     assert "Daniel Schall" in g.author_index
-    assert len(g.pub_authors[g.pub_id("k/p1")]) == 2
-    assert [g.author_names[a] for a in g.pub_authors[g.pub_id("k/p5")]] == \
+    assert len(g.pub_authors[g.pub_index["k/p1"]]) == 2
+    assert [g.author_names[a] for a in g.pub_authors[g.pub_index["k/p5"]]] == \
         ["Alice A", "Bob B"]
+
+
+def test_graph_is_a_named_tuple_of_six_tables(fig1_graph):
+    assert isinstance(fig1_graph, tuple)
+    assert fig1_graph._fields == ("pub_keys", "pub_index", "pub_authors", "author_names",
+                                  "author_index", "author_pubs")
 
 
 def test_records_without_mentions_excluded():
@@ -273,7 +279,7 @@ def test_load_graph_rejects_a_duplicate_record_id(tmp_path):
 
 def test_duplicate_names_collapse_to_one_edge():
     g = build_graph([rec("p1", "A B", "A B", "C D")])
-    assert len(g.pub_authors[g.pub_id("p1")]) == 2
+    assert len(g.pub_authors[g.pub_index["p1"]]) == 2
 
 
 def _distance(g, p1, p2, t, focal):
@@ -303,10 +309,12 @@ def test_no_path_is_infinite(fig1_graph):
 
 
 def test_unknown_nodes_rejected(fig1_graph):
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(KeyError) as exc:
         pubs_within(fig1_graph, "nope", 2, None)
-    with pytest.raises(UnknownNodeError):
+    assert exc.value.args == ("nope",)
+    with pytest.raises(KeyError) as exc:
         pubs_within(fig1_graph, "k/p1", 1, "No Such Name")
+    assert exc.value.args == ("No Such Name",)
 
 
 def test_pubs_within_order1(fig1_graph):
