@@ -19,14 +19,16 @@ def count_comparisons(blocks: list[Block]) -> int:
     return sum(b.m * (b.m - 1) // 2 for b in blocks)
 
 
-def groups_to_clustering(groups, comparisons=0) -> Clustering:
-    """Stable cluster ids: the lowest record_id in each cluster."""
-    assignment = {}
-    for grp in groups:
-        cid = min(grp)
-        for rid in grp:
-            assignment[rid] = cid
-    return Clustering(assignment, comparisons)
+def name_clusters(members, keys, comparisons) -> Clustering:
+    """The clustering that puts members with equal keys together.
+
+    ``members`` come in ascending record id order and ``keys`` gives each
+    member's cluster key, in the same order. A cluster's id is the first
+    member met with its key, which is its lowest record id, so no id
+    depends on the keys' values."""
+    first = {}
+    return Clustering({m: first.setdefault(k, m) for m, k in zip(members, keys)},
+                      comparisons)
 
 
 def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
@@ -60,15 +62,7 @@ def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
         return x
 
     def partition():
-        # groups come in order of their lowest member, which is also their
-        # cluster id, so no output depends on which node became a root
-        groups: dict[int, list[str]] = {}
-        for p, pid in zip(members, ids):
-            groups.setdefault(find(pid), []).append(p)
-        # the audit counts pairs decided: every pair of members the
-        # union-find placed, so a member it missed fails the CLI's check
-        covered = sum(len(grp) for grp in groups.values())
-        return groups_to_clustering(groups.values(), covered * (covered - 1) // 2)
+        return name_clusters(members, map(find, ids), count_comparisons([b]))
 
     partitions = {}  # levels done -> the partition after them
     frontier = ids

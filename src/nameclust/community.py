@@ -28,7 +28,7 @@ partition. ``louvain`` rejects any other weight with ``ValueError``.
 
 from __future__ import annotations
 
-from .cluster import Clustering, groups_to_clustering
+from .cluster import Clustering, name_clusters
 from .errors import UndefinedModularityError
 from .gold import Block
 from .graph import BipartiteGraph
@@ -243,15 +243,12 @@ def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
     labels, passes, q_after = louvain(adj, resolution)
     q_before = None if q_after is None else modularity(
         adj, [base.assignment[rid] for rid in nodes], resolution)
-    groups: list[list[str]] = [[] for _ in range(max(labels) + 1)]
-    for rid, label in zip(nodes, labels):
-        groups[label].append(rid)
-    refined = groups_to_clustering(groups, comparisons=base.comparisons)
+    refined = name_clusters(nodes, labels, base.comparisons)
     report = {
         "block_key": b.block_key,
         "q_before": q_before,
         "q_after": q_after,
         "passes": passes,
-        "communities": len(groups),
+        "communities": max(labels) + 1,
     }
     return refined, report

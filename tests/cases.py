@@ -1,5 +1,6 @@
 """Shared test inputs.
 
+``groups_to_clustering`` names clusters given as groups in any order.
 ``wgraph`` makes a graph on string nodes, and ``similarity_graph``,
 ``louvain`` and ``modularity`` run the package's dense-id community
 functions on such graphs and read their results back by node.
@@ -21,12 +22,24 @@ import random
 
 from conftest import rec
 from nameclust import community
+from nameclust.cluster import Clustering
 
 # nodes: sorted node names; edges: (u, v) -> weight, each edge once
 StringGraph = collections.namedtuple("StringGraph", ["nodes", "edges"])
 # assignment: node -> dense community id; q: modularity or None; passes:
 # Louvain levels run
 Partition = collections.namedtuple("Partition", ["assignment", "q", "passes"])
+
+
+def groups_to_clustering(groups, comparisons=0):
+    """The clustering of ``groups``, given in any order, each cluster
+    named by the lowest record id in it."""
+    assignment = {}
+    for grp in groups:
+        cid = min(grp)
+        for rid in grp:
+            assignment[rid] = cid
+    return Clustering(assignment, comparisons)
 
 
 def wgraph(nodes, edges):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from cases import groups_to_clustering
 from conftest import clusters_of
 from nameclust.bcubed import (
     BcubedScores,
@@ -11,7 +12,7 @@ from nameclust.bcubed import (
     f_measure,
     item_scores,
 )
-from nameclust.cluster import Clustering, groups_to_clustering
+from nameclust.cluster import Clustering
 from nameclust.gold import Block
 
 

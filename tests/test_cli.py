@@ -16,12 +16,11 @@ import pytest
 
 import nameclust
 import nameclust.cli
-from cases import FailingStream, long_dblp_document
+from cases import FailingStream, groups_to_clustering, long_dblp_document
 from conftest import no_child_left, rec
 import nameclust.graph
 from nameclust.bcubed import block_scores
 from nameclust.cli import _per_block, main, read_config
-from nameclust.cluster import groups_to_clustering
 from nameclust.errors import DataIntegrityError
 from nameclust.gold import Block, build_blocks, read_gold, sample_blocks
 from nameclust.records import write_records

@@ -6,13 +6,10 @@ import pytest
 
 import cases
 import oracles
+from cases import groups_to_clustering
 from conftest import clusters_of, rec
-from nameclust.cluster import (
-    cluster_block,
-    count_comparisons,
-    groups_to_clustering,
-    write_clusters_tsv,
-)
+from nameclust.cluster import cluster_block, count_comparisons, write_clusters_tsv
+from nameclust.community import refine_with_report
 from nameclust.gold import Block, build_blocks, build_gold_standard
 from nameclust.graph import build_graph, pubs_within
 from nameclust.synth import SynthConfig, generate_corpus
@@ -72,10 +69,35 @@ def test_all_infinite_gives_singletons():
     assert c.comparisons == 3
 
 
+def _assert_lowest_ids(c):
+    """Every cluster id of ``c`` is the lowest record id of its members;
+    returns the number of clusters with more than one member."""
+    clusters = clusters_of(c)
+    for cid, rids in clusters.items():
+        assert cid == min(rids), (cid, sorted(rids))
+    return sum(len(rids) > 1 for rids in clusters.values())
+
+
 def test_cluster_ids_are_lowest_record_id(fig1_setup):
     graph, blocks = fig1_setup
     (c,) = cluster_block(blocks["Daniel Schall"], graph, [1])
     assert set(clusters_of(c)) == {"k/p1"}
+    # bridged blocks, so that clusters merge across authors and the
+    # refinement has links to split
+    records = generate_corpus(SynthConfig(blocks=40, seed=2, bridge_rate=0.3))
+    graph = build_graph(records)
+    merged = refined_blocks = 0
+    for block in build_blocks(build_gold_standard(records)):
+        clusterings = cluster_block(block, graph, [1, 3, 5])
+        for c in clusterings:
+            merged += _assert_lowest_ids(c)
+        if not cases.similarity_graph(block, graph).edges:
+            continue
+        refined, report = refine_with_report(block, clusterings[0], graph)
+        merged += _assert_lowest_ids(refined)
+        assert report["communities"] == len(set(refined.assignment.values()))
+        refined_blocks += 1
+    assert merged and refined_blocks
 
 
 def _synthetic_setup(seed, blocks=8):
