@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import collections
 
-from .cluster import Clustering
 from .gold import Block
 
 BcubedScores = collections.namedtuple("BcubedScores", ["precision", "recall", "f"])
@@ -17,25 +16,25 @@ def f_measure(p: float, r: float, alpha: float = 0.5) -> float:
     return 1.0 / (alpha / p + (1.0 - alpha) / r)
 
 
-def _intersections(c: Clustering, b: Block):
+def _intersections(c: dict[str, str], b: Block):
     """Per (cluster, gold class) overlap counts."""
     counts: dict[str, dict[str, int]] = {}
-    for rid, cid in c.assignment.items():
+    for rid, cid in c.items():
         label = b.gold_label[rid]
         per = counts.setdefault(cid, {})
         per[label] = per.get(label, 0) + 1
     return counts
 
 
-def item_scores(c: Clustering, b: Block, e: str, alpha: float = 0.5) -> BcubedScores:
+def item_scores(c: dict[str, str], b: Block, e: str, alpha: float = 0.5) -> BcubedScores:
     """Scores of a single publication: precision is the fraction of its
     predicted cluster sharing its gold author, recall the fraction of its
     gold author's publications captured by the cluster."""
     if e not in b.gold_label:
         raise KeyError(f"{e!r} is not a member of block {b.block_key!r}")
-    cid = c.assignment[e]
+    cid = c[e]
     label = b.gold_label[e]
-    mates = [rid for rid, other in c.assignment.items() if other == cid]
+    mates = [rid for rid, other in c.items() if other == cid]
     class_size = sum(1 for lab in b.gold_label.values() if lab == label)
     inter = sum(1 for rid in mates if b.gold_label[rid] == label)
     p = inter / len(mates)
@@ -43,7 +42,7 @@ def item_scores(c: Clustering, b: Block, e: str, alpha: float = 0.5) -> BcubedSc
     return BcubedScores(p, r, f_measure(p, r, alpha))
 
 
-def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
+def block_scores(c: dict[str, str], b: Block, alpha: float = 0.5) -> BcubedScores:
     """Arithmetic mean of the item scores over the block's publications;
     F is averaged per item, not taken from the mean P and R."""
     counts = _intersections(c, b)
@@ -54,7 +53,7 @@ def block_scores(c: Clustering, b: Block, alpha: float = 0.5) -> BcubedScores:
     m = len(b.gold_label)
     sum_p = sum_r = sum_f = 0.0
     for rid in sorted(b.gold_label):  # fixed float summation order
-        cid = c.assignment[rid]
+        cid = c[rid]
         label = b.gold_label[rid]
         inter = counts[cid][label]
         p = inter / cluster_sizes[cid]

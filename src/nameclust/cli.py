@@ -247,6 +247,19 @@ def _inputs(args, choose):
     return graph, blocks
 
 
+def _check_tsv_fields(blocks) -> None:
+    """Reject a block key, record id or gold key that holds a tab or a
+    line break: it would split its row of ``clusters_t*.tsv``."""
+    bad = [(v, b.block_key) for b in blocks
+           for v in (b.block_key, *b.gold_label, *b.gold_label.values())
+           if "\t" in v or "\n" in v or "\r" in v]
+    if bad:
+        v, key = min(bad)
+        raise DataIntegrityError(
+            f"{v!r} of block {key!r} holds a tab or line break, which "
+            f"clusters_t*.tsv cannot hold")
+
+
 def _out_dir(args) -> Path:
     """``--out-dir``, made only once every block is done, so that an error
     before then leaves no directory."""
@@ -304,6 +317,7 @@ def cmd_run(args) -> int:
         return sample_blocks(blocks, sample_count, seed)
 
     graph, blocks = _inputs(args, choose)
+    _check_tsv_fields(blocks)
 
     def job(b):
         return [(c, block_scores(c, b, alpha)) for c in cluster_block(b, graph, thresholds)]
@@ -320,10 +334,6 @@ def cmd_run(args) -> int:
     }
     for k, t in enumerate(thresholds):
         clusterings = [r[k][0] for r in results]
-        observed = sum(c.comparisons for c in clusterings)
-        if observed != comparisons:
-            raise DataIntegrityError(
-                f"comparison audit failed: {observed} != {comparisons}")
         write_clusters_tsv(blocks, clusterings, out_dir / f"clusters_t{t}.tsv")
         scores = [r[k][1] for r in results]
         per_block = [{"block_key": b.block_key, "m": b.m, **_triple(s)}

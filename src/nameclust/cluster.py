@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import collections
-
 from .gold import Block
 from .graph import BipartiteGraph
 from .graph import pubs_within  # noqa: F401  kept in this namespace for perfbench/tracer.py
-
-
-# assignment: record id -> cluster id, the lowest record id in its
-# cluster; comparisons: pairs of members decided
-Clustering = collections.namedtuple("Clustering", ["assignment", "comparisons"])
 
 
 def count_comparisons(blocks: list[Block]) -> int:
@@ -19,19 +12,19 @@ def count_comparisons(blocks: list[Block]) -> int:
     return sum(b.m * (b.m - 1) // 2 for b in blocks)
 
 
-def name_clusters(members, keys, comparisons) -> Clustering:
-    """The clustering that puts members with equal keys together.
+def name_clusters(members, keys) -> dict[str, str]:
+    """The clustering that puts members with equal keys together: record
+    id -> cluster id.
 
     ``members`` come in ascending record id order and ``keys`` gives each
     member's cluster key, in the same order. A cluster's id is the first
     member met with its key, which is its lowest record id, so no id
     depends on the keys' values."""
     first = {}
-    return Clustering({m: first.setdefault(k, m) for m, k in zip(members, keys)},
-                      comparisons)
+    return {m: first.setdefault(k, m) for m, k in zip(members, keys)}
 
 
-def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
+def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[dict[str, str]]:
     """For each t of ``thresholds``, in order, the connected components
     of the block's publications under "distance (focal author excluded)
     at most t"; unmatched publications stay singletons.
@@ -61,9 +54,6 @@ def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    def partition():
-        return name_clusters(members, map(find, ids), count_comparisons([b]))
-
     partitions = {}  # levels done -> the partition after them
     frontier = ids
     for depth in range(max(levels)):
@@ -84,7 +74,7 @@ def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[Clustering]:
                     if rv != root:
                         parent[rv] = root
         if depth + 1 in levels or not nxt:
-            partitions[depth + 1] = partition()
+            partitions[depth + 1] = name_clusters(members, map(find, ids))
         if not nxt:
             break
         frontier = nxt
@@ -99,5 +89,5 @@ def write_clusters_tsv(blocks, clusterings, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block_key\trecord_id\tcluster_id\tgold_key\n")
         for b, c in zip(blocks, clusterings, strict=True):
-            for rid in sorted(c.assignment):
-                fh.write(f"{b.block_key}\t{rid}\t{c.assignment[rid]}\t{b.gold_label[rid]}\n")
+            for rid in sorted(c):
+                fh.write(f"{b.block_key}\t{rid}\t{c[rid]}\t{b.gold_label[rid]}\n")

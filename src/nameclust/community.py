@@ -28,7 +28,7 @@ partition. ``louvain`` rejects any other weight with ``ValueError``.
 
 from __future__ import annotations
 
-from .cluster import Clustering, name_clusters
+from .cluster import name_clusters
 from .errors import UndefinedModularityError
 from .gold import Block
 from .graph import BipartiteGraph
@@ -232,20 +232,19 @@ def louvain(adj, resolution: float = 1.0):
     return [first_seen[s] for s in node_to_super], passes, q
 
 
-def refine_with_report(b: Block, base: Clustering, g: BipartiteGraph,
+def refine_with_report(b: Block, base: dict[str, str], g: BipartiteGraph,
                        resolution: float = 1.0):
     """Re-cluster the block by Louvain communities of its similarity graph.
 
-    Returns (Clustering, report) where the report carries modularity
+    Returns (clustering, report) where the report carries modularity
     before/after, pass count, and community count for the JSON export.
     """
     nodes, adj = build_similarity_graph(b, g)
     labels, passes, q_after = louvain(adj, resolution)
     q_before = None if q_after is None else modularity(
-        adj, [base.assignment[rid] for rid in nodes], resolution)
-    refined = name_clusters(nodes, labels, base.comparisons)
+        adj, [base[rid] for rid in nodes], resolution)
+    refined = name_clusters(nodes, labels)
     report = {
-        "block_key": b.block_key,
         "q_before": q_before,
         "q_after": q_after,
         "passes": passes,

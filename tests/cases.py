@@ -22,7 +22,6 @@ import random
 
 from conftest import rec
 from nameclust import community
-from nameclust.cluster import Clustering
 
 # nodes: sorted node names; edges: (u, v) -> weight, each edge once
 StringGraph = collections.namedtuple("StringGraph", ["nodes", "edges"])
@@ -31,7 +30,7 @@ StringGraph = collections.namedtuple("StringGraph", ["nodes", "edges"])
 Partition = collections.namedtuple("Partition", ["assignment", "q", "passes"])
 
 
-def groups_to_clustering(groups, comparisons=0):
+def groups_to_clustering(groups):
     """The clustering of ``groups``, given in any order, each cluster
     named by the lowest record id in it."""
     assignment = {}
@@ -39,7 +38,7 @@ def groups_to_clustering(groups, comparisons=0):
         cid = min(grp)
         for rid in grp:
             assignment[rid] = cid
-    return Clustering(assignment, comparisons)
+    return assignment
 
 
 def wgraph(nodes, edges):

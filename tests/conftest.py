@@ -19,7 +19,7 @@ def rec(record_id, *names, kind="article"):
 def clusters_of(c):
     """A clustering's clusters: cluster id -> frozenset of record ids."""
     out = {}
-    for rid, cid in c.assignment.items():
+    for rid, cid in c.items():
         out.setdefault(cid, set()).add(rid)
     return {cid: frozenset(rids) for cid, rids in out.items()}
 

@@ -5,6 +5,7 @@ the 2015-05-01 DBLP snapshot (point DBLP_XML_2015 at the file) and is
 skipped otherwise; criteria 1-5 and 7 stand alone.
 """
 
+import json
 import os
 import random
 import time
@@ -19,8 +20,9 @@ from nameclust.cli import main as cli_main
 from nameclust.cluster import cluster_block, count_comparisons
 from nameclust.community import refine_with_report
 from nameclust.dblp_xml import parse_dblp
-from nameclust.gold import build_blocks, build_gold_standard, sample_blocks
+from nameclust.gold import build_blocks, build_gold_standard, sample_blocks, write_gold
 from nameclust.graph import build_graph
+from nameclust.records import write_records
 from nameclust.synth import SynthConfig, generate_corpus
 from test_bcubed import make_block, make_clustering
 
@@ -42,7 +44,7 @@ def test_criterion_1_bcubed_oracle_equivalence():
             groups.setdefault(rng.randint(0, 4), []).append(p)
         block = make_block(gold)
         clustering = make_clustering(groups.values())
-        predicted = {p: clustering.assignment[p] for p in items}
+        predicted = {p: clustering[p] for p in items}
         for e in items:
             got = item_scores(clustering, block, e)
             p_, r_, f_ = oracles.oracle_bcubed_item(items, predicted, gold, e)
@@ -58,23 +60,22 @@ def test_criterion_1_bcubed_oracle_equivalence():
             time.perf_counter() - start, 10)
 
 
-def test_criterion_2_and_3_components_and_audit():
+def test_criterion_2_and_3_components_and_audit(tmp_path):
     start = time.perf_counter()
     records = generate_corpus(SynthConfig(
         blocks=200, authors_per_block=(1, 4), pubs_per_author=(2, 18),
         bridge_rate=0.25, seed=424242))
     graph = build_graph(records)
-    block_set = build_blocks(build_gold_standard(records))
+    gold = build_gold_standard(records)
+    block_set = build_blocks(gold)
     assert len(block_set) == 200
     assert max(b.m for b in block_set) <= 200
     nxg = oracles.build_nx_graph(records)
 
-    total_pairs = 0
     for block in block_set:
         partitions = {}
         for threshold in (1, 3):
             (c,) = cluster_block(block, graph, [threshold])
-            total_pairs += c.comparisons
             got = sorted((frozenset(v) for v in clusters_of(c).values()), key=sorted)
             want = oracles.oracle_components(
                 nxg, block.gold_label, block.block_key, threshold)
@@ -82,13 +83,21 @@ def test_criterion_2_and_3_components_and_audit():
             partitions[threshold] = c
         # threshold 3 coarsens threshold 1
         for members in clusters_of(partitions[1]).values():
-            assert len({partitions[3].assignment[r] for r in members}) == 1
-    # criterion 3: the counter reproduces the closed form exactly
-    assert total_pairs == 2 * count_comparisons(block_set)
+            assert len({partitions[3][r] for r in members}) == 1
+    # criterion 3: the count that run reports is the closed form, written
+    # out here rather than read from the package
+    write_records(records, tmp_path / "records.jsonl")
+    write_gold(gold, tmp_path / "gold.json")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--records", str(tmp_path / "records.jsonl"),
+                     "--gold", str(tmp_path / "gold.json"), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    pairs = sum(b.m * (b.m - 1) // 2 for b in block_set)
+    assert report["comparisons"] == count_comparisons(block_set) == pairs
     elapsed = time.perf_counter() - start
     _report(2, "200 blocks vs all-pairs oracle, both thresholds, coarsening",
             elapsed, 60)
-    _report(3, f"comparison counter == sum m(m-1)/2 == {count_comparisons(block_set)}",
+    _report(3, f"run's reported comparisons == sum m(m-1)/2 == {pairs}",
             elapsed, 60)
 
 

@@ -12,7 +12,6 @@ from nameclust.bcubed import (
     f_measure,
     item_scores,
 )
-from nameclust.cluster import Clustering
 from nameclust.gold import Block
 
 
@@ -100,7 +99,7 @@ def _random_instance(rng, n):
 def test_oracle_equivalence(seed):
     rng = random.Random(seed)
     block, c, gold = _random_instance(rng, rng.randint(2, 12))
-    predicted = {p: c.assignment[p] for p in block.gold_label}
+    predicted = {p: c[p] for p in block.gold_label}
     items = sorted(block.gold_label)
     for e in items:
         got = item_scores(c, block, e)

@@ -622,6 +622,42 @@ def test_gold_record_not_naming_its_block_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _tab_in_xml_key(tmp_path):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(MINIMAL_XML.replace(b'key="a/1"', b'key="a/1&#9;x"'))
+    assert run_cli("ingest", "--input", xml, "--records-out", tmp_path / "records.jsonl",
+                   "--gold-out", tmp_path / "gold.json") == 0
+    return "'a/1\\tx' of block 'Wei Li'"
+
+
+def _line_break_in_jsonl_name(tmp_path):
+    # two bad fields: the error names the lower, the block key 'Wei\nLi'
+    lines = [{"id": rid, "kind": "article", "title": "t", "venue": None, "year": None,
+              "authors": [{"name": name, "gold_id": gid}, {"name": "J Roe", "gold_id": None}]}
+             for rid, name, gid in [("p1", "Wei\nLi", "0001"), ("p2", "Wei\nLi", "0002"),
+                                    ("z\r1", "Ann Bee", "0001")]]
+    (tmp_path / "records.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    (tmp_path / "gold.json").write_text(json.dumps({
+        "Wei\nLi": {"Wei\nLi 0001": ["p1"], "Wei\nLi 0002": ["p2"]},
+        "Ann Bee": {"Ann Bee 0001": ["z\r1"]}}))
+    return "'Wei\\nLi' of block 'Wei\\nLi'"
+
+
+@pytest.mark.parametrize("make", [_tab_in_xml_key, _line_break_in_jsonl_name])
+def test_tab_or_line_break_in_a_tsv_field_exits_2(tmp_path, capsys, make):
+    named = make(tmp_path)
+    inputs = ["--records", tmp_path / "records.jsonl", "--gold", tmp_path / "gold.json"]
+    out = tmp_path / "o"
+    assert run_cli("run", *inputs, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {named} holds a tab or line break" in err
+    assert "z\\r1" not in err
+    assert not out.exists()
+    # common-names writes only JSON, which holds any string
+    assert run_cli("common-names", *inputs, "--out-dir", out,
+                   "--min-block-size", 0) == 0
+
+
 def test_gold_conflict_outside_the_sample_exits_2(tmp_path, synth_corpus, capsys):
     # every block of the gold file is checked, not only the sampled ones
     records, gold = synth_corpus
@@ -997,7 +1033,7 @@ def _scored_clusterings(b):
     members = sorted(b.gold_label)
     pairs = []
     for groups in ([members], [members[0::2], members[1::2]]):
-        c = groups_to_clustering([g for g in groups if g], b.m * (b.m - 1) // 2)
+        c = groups_to_clustering([g for g in groups if g])
         pairs.append((c, block_scores(c, b, 0.5)))
     return pairs
 

@@ -379,7 +379,7 @@ def test_refinement_fixed_point():
     block = build_blocks(build_gold_standard(records))[0]
     (base,) = cluster_block(block, graph, [3])
     refined, _ = refine_with_report(block, base, graph)
-    assert refined.assignment == base.assignment
+    assert refined == base
 
 
 def test_isolated_members_stay_singletons():
@@ -446,7 +446,7 @@ def test_refinement_matches_definitional_louvain():
             for threshold in (1, 3):
                 (base,) = cluster_block(block, graph, [threshold])
                 refined, report = refine_with_report(block, base, graph)
-                assert oracles.partition_from_labels(refined.assignment) == \
+                assert oracles.partition_from_labels(refined) == \
                     oracles.partition_from_labels(labels)
                 assert report["passes"] == passes
                 assert report["q_after"] == q
