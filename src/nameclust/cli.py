@@ -43,18 +43,34 @@ class UsageError(NameclustError):
     pass
 
 
-# every setting a --config file may hold, of any subcommand, with its
-# built-in default and its type
+def _thresholds_fault(thresholds):
+    for k, t in enumerate(thresholds):
+        if t < 1 or t % 2 == 0:
+            return f"threshold must be odd and >= 1, got {t}"
+        if t in thresholds[:k]:
+            return f"threshold {t} given twice"
+
+
+def _at_least(low, what):
+    return lambda n: f"{what} must be >= {low}, got {n}" if n is not None and n < low else None
+
+
+# every setting of ingest, run and common-names, the only keys a --config
+# file may hold: its built-in default, its type in the file, and its check,
+# which returns what is wrong with a value, or None; _settings checks the
+# values in this order
 SETTINGS = {
-    "min_gold_authors": (1, int),
-    "thresholds": ((1, 3), lambda s: [int(x) for x in s.split(",")]),
-    "sample_count": (None, int),
-    "seed": (0, int),
-    "alpha": (0.5, float),
-    "workers": (1, int),
-    "min_block_size": (200, int),
-    "threshold": (3, int),
-    "resolution": (1.0, float),
+    "min_gold_authors": (1, int, _at_least(1, "min gold authors")),
+    "thresholds": ((1, 3), lambda s: [int(x) for x in s.split(",")], _thresholds_fault),
+    "threshold": (3, int, lambda t: _thresholds_fault([t])),
+    "alpha": (0.5, float,
+              lambda a: None if 0.0 <= a <= 1.0 else f"alpha must lie in [0, 1], got {a}"),
+    "resolution": (1.0, float, lambda r: None if r > 0.0 and math.isfinite(r)
+                   else f"resolution must be positive and finite, got {r}"),
+    "sample_count": (None, int, _at_least(1, "sample count")),
+    "seed": (0, int, lambda s: None),
+    "workers": (1, int, _at_least(1, "workers")),
+    "min_block_size": (200, int, _at_least(0, "min block size")),
 }
 
 
@@ -77,37 +93,26 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-def _setting(args, config, name):
-    """Flag beats config file beats built-in default."""
-    default, cast = SETTINGS[name]
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError:
-            raise UsageError(f"--config: bad value {config[name]!r} for {name}") from None
-    return default
-
-
-def _check_settings(thresholds, alpha, workers, resolution=1.0, sample_count=None) -> None:
-    """Reject a bad ``run`` or ``common-names`` setting, from a flag or
-    from ``--config``, before any input is read. The sample count's upper
-    bound, the number of blocks, is checked once the gold file is read."""
-    for k, t in enumerate(thresholds):
-        if t < 1 or t % 2 == 0:
-            raise UsageError(f"threshold must be odd and >= 1, got {t}")
-        if t in thresholds[:k]:
-            raise UsageError(f"threshold {t} given twice")
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
-    if not (resolution > 0.0 and math.isfinite(resolution)):
-        raise UsageError(f"resolution must be positive and finite, got {resolution}")
-    if sample_count is not None and sample_count < 1:
-        raise UsageError(f"sample count must be >= 1, got {sample_count}")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+def _settings(args, *names) -> list:
+    """The value of each named setting: its flag, else its ``--config``
+    entry, else its built-in default. All are checked, in ``SETTINGS``
+    order, before any input is read; the sample count's upper bound, the
+    number of blocks, is checked once the gold file is read."""
+    config = read_config(args.config) if args.config else {}
+    values = {}
+    for name in names:
+        default, cast, _ = SETTINGS[name]
+        value = getattr(args, name)
+        if value is None and name in config:
+            try:
+                value = cast(config[name])
+            except ValueError:
+                raise UsageError(f"--config: bad value {config[name]!r} for {name}") from None
+        values[name] = default if value is None else value
+    for name, (_, _, check) in SETTINGS.items():
+        if name in values and (fault := check(values[name])):
+            raise UsageError(fault)
+    return [values[name] for name in names]
 
 
 def _dump_json(obj, path) -> None:
@@ -140,24 +145,35 @@ def _fresh_file_beside(path, owned: contextlib.ExitStack) -> str:
         return tmp
 
 
+@contextlib.contextmanager
+def _written_together(*paths):
+    """Yield a fresh file beside each of ``paths`` to write in the block,
+    and move each to its path once the block ends without error; an error
+    leaves no temporary file and every path as it was."""
+    with contextlib.ExitStack() as owned:
+        tmps = [_fresh_file_beside(path, owned) for path in paths]
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+
+
 def _distinct_outputs(args) -> None:
-    """Reject one file named for both outputs: the gold would replace the records."""
+    """Reject an output that is a directory, which no file can replace, and
+    one file named for both outputs: the gold would replace the records."""
+    for flag, path in (("--records-out", args.records_out), ("--gold-out", args.gold_out)):
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} is a directory: {path}")
     if os.path.realpath(args.records_out) == os.path.realpath(args.gold_out):
         raise UsageError(f"--records-out and --gold-out name the same file: {args.gold_out}")
 
 
 def cmd_ingest(args) -> int:
     _distinct_outputs(args)
-    config = read_config(args.config) if args.config else {}
-    min_gold = _setting(args, config, "min_gold_authors")
-    if min_gold < 1:
-        raise UsageError(f"min gold authors must be >= 1, got {min_gold}")
+    (min_gold,) = _settings(args, "min_gold_authors")
     n_records = 0
-    # both files are written under temporary names and take their own
-    # only once the whole dump has parsed, so a data error leaves neither
-    with contextlib.ExitStack() as owned:
-        records_tmp = _fresh_file_beside(args.records_out, owned)
-        gold_tmp = _fresh_file_beside(args.gold_out, owned)
+    # both files take their names only once the whole dump has parsed, so
+    # a data error leaves neither
+    with _written_together(args.records_out, args.gold_out) as (records_tmp, gold_tmp):
         with open(records_tmp, "w", encoding="utf-8") as fh:
 
             def written():
@@ -171,8 +187,6 @@ def cmd_ingest(args) -> int:
 
             gold = build_gold_standard(written(), min_gold_authors=min_gold)
         write_gold(gold, gold_tmp)
-        os.replace(records_tmp, args.records_out)
-        os.replace(gold_tmp, args.gold_out)
     n_authors = sum(map(len, gold.values()))
     print(f"ingest: {n_records} records, {len(gold)} gold blocks, "
           f"{n_authors} gold authors")
@@ -201,9 +215,10 @@ def cmd_synth(args) -> int:
         records = generate_corpus(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    write_records(records, args.records_out)
     gold = build_gold_standard(records)
-    write_gold(gold, args.gold_out)
+    with _written_together(args.records_out, args.gold_out) as (records_tmp, gold_tmp):
+        write_records(records, records_tmp)
+        write_gold(gold, gold_tmp)
     print(f"synth: {len(records)} records, {len(gold)} blocks, "
           f"{sum(map(len, gold.values()))} planted authors (seed {cfg.seed})")
     return EXIT_OK
@@ -298,13 +313,8 @@ def _per_block(blocks, job):
 
 
 def cmd_run(args) -> int:
-    config = read_config(args.config) if args.config else {}
-    thresholds = _setting(args, config, "thresholds")
-    sample_count = _setting(args, config, "sample_count")
-    seed = _setting(args, config, "seed")
-    alpha = _setting(args, config, "alpha")
-    workers = _setting(args, config, "workers")
-    _check_settings(thresholds, alpha, workers, sample_count=sample_count)
+    thresholds, sample_count, seed, alpha, _ = _settings(
+        args, "thresholds", "sample_count", "seed", "alpha", "workers")
 
     def choose(blocks):
         if not blocks:
@@ -348,15 +358,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_common_names(args) -> int:
-    config = read_config(args.config) if args.config else {}
-    min_block_size = _setting(args, config, "min_block_size")
-    threshold = _setting(args, config, "threshold")
-    alpha = _setting(args, config, "alpha")
-    resolution = _setting(args, config, "resolution")
-    workers = _setting(args, config, "workers")
-    _check_settings([threshold], alpha, workers, resolution)
-    if min_block_size < 0:
-        raise UsageError(f"min block size must be >= 0, got {min_block_size}")
+    min_block_size, threshold, alpha, resolution, _ = _settings(
+        args, "min_block_size", "threshold", "alpha", "resolution", "workers")
 
     graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])
 

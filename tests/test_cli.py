@@ -134,6 +134,24 @@ def test_ingest_min_gold_authors_below_1_exits_1(tmp_path, capsys, argv, config,
     assert list(out.iterdir()) == []
 
 
+def test_ingest_min_gold_authors_flag_beats_config(tmp_path, capsys):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(b"""<dblp>
+<article key="a/1"><author>Wei Li 0001</author><title>t1</title></article>
+<article key="a/2"><author>Wei Li 0002</author><title>t2</title></article>
+<article key="a/3"><author>Jo Ng 0001</author><title>t3</title></article>
+</dblp>""")
+    cfg = tmp_path / "ingest.conf"
+    cfg.write_text("min_gold_authors = 2\n", encoding="utf-8")
+    gold = tmp_path / "gold.json"
+    argv = ["ingest", "--input", xml, "--records-out", tmp_path / "records.jsonl",
+            "--gold-out", gold, "--config", cfg]
+    assert run_cli(*argv) == 0
+    assert sorted(json.loads(gold.read_text())) == ["Wei Li"]
+    assert run_cli(*argv, "--min-gold-authors", 1) == 0
+    assert sorted(json.loads(gold.read_text())) == ["Jo Ng", "Wei Li"]
+
+
 def test_ingest_into_missing_directory_names_the_output(tmp_path, capsys):
     xml = tmp_path / "dump.xml"
     xml.write_bytes(MINIMAL_XML)
@@ -239,6 +257,36 @@ def test_one_file_for_both_outputs_exits_1_before_reading_input(tmp_path, capsys
     assert err == ("nameclust: error: --records-out and --gold-out name the same file: "
                    f"{tmp_path / 'link' / 'both.json'}\n")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--records-out", "--gold-out"])
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_output_that_is_a_directory_exits_1_before_writing(tmp_path, capsys, command,
+                                                            flag):
+    # no file can replace a directory; the other output, already there,
+    # must not be replaced before that is found
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(MINIMAL_XML)
+    argv = ["--input", xml] if command == "ingest" else []
+    records, gold = tmp_path / "records.jsonl", tmp_path / "gold.json"
+    directory, other = (records, gold) if flag == "--records-out" else (gold, records)
+    directory.mkdir()
+    other.write_text("earlier\n")
+    assert run_cli(command, *argv, "--records-out", records, "--gold-out", gold) == 1
+    assert capsys.readouterr().err == f"nameclust: error: {flag} is a directory: {directory}\n"
+    assert other.read_text() == "earlier\n"
+    assert list(directory.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.xml", "gold.json",
+                                                          "records.jsonl"]
+
+
+def test_synth_into_missing_directory_leaves_neither_output(tmp_path, capsys):
+    gold = tmp_path / "none" / "gold.json"
+    assert run_cli("synth", "--records-out", tmp_path / "records.jsonl",
+                   "--gold-out", gold) == 2
+    err = capsys.readouterr().err
+    assert err == f"nameclust: data error: [Errno 2] No such file or directory: '{gold}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -719,6 +767,51 @@ def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config
     assert err.startswith("nameclust: error: ") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["run", "--threshold", 2, "--alpha", 2], None, "threshold must be odd and >= 1, got 2"),
+    (["run", "--threshold", 2], "alpha = half\n", "--config: bad value 'half' for alpha"),
+    (["common-names", "--min-block-size", -1, "--workers", 0], None,
+     "workers must be >= 1, got 0"),
+    (["common-names", "--resolution", 0, "--threshold", 4], None,
+     "threshold must be odd and >= 1, got 4"),
+    (["run", "--sample-count", 0, "--workers", 0, "--alpha", 5], None,
+     "alpha must lie in [0, 1], got 5.0"),
+])
+def test_several_bad_settings_report_the_first_in_table_order(tmp_path, capsys, argv,
+                                                              config, message):
+    # a value of the wrong type in --config is found before any range
+    # check; the range checks then run in the order of cli.SETTINGS
+    extra = []
+    if config is not None:
+        (tmp_path / "bad.conf").write_text(config, encoding="utf-8")
+        extra = ["--config", tmp_path / "bad.conf"]
+    out = tmp_path / "out"
+    assert run_cli(argv[0], "--records", tmp_path / "none.jsonl",
+                   "--gold", tmp_path / "none.json", "--out-dir", out,
+                   *argv[1:], *extra) == 1
+    assert capsys.readouterr().err == f"nameclust: error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_setting_default_passes_its_own_check():
+    for name, (default, _, check) in nameclust.cli.SETTINGS.items():
+        assert check(default) is None, name
+
+
+def test_every_setting_is_a_flag_whose_default_is_left_to_the_table():
+    # a flag default other than None would hide both --config and the
+    # table's default
+    parser = nameclust.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    defaults = {}
+    for command in ("ingest", "run", "common-names"):
+        for action in commands[command]._actions:
+            defaults.setdefault(action.dest, []).append(action.default)
+    for name in nameclust.cli.SETTINGS:
+        assert defaults.get(name), name
+        assert all(d is None for d in defaults[name]), (name, defaults[name])
 
 
 def test_run_with_empty_gold_exits_2(tmp_path, synth_corpus, capsys):
