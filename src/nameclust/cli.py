@@ -249,11 +249,11 @@ def _inputs(args, choose):
             f"gold record {rid!r} of block {key!r} is not an authored record "
             f"in --records")
     for b in blocks:
-        if b.block_key not in graph.author_index:
+        if b.block_key not in graph.author_pubs:
             raise DataIntegrityError(
                 f"block {b.block_key!r} is not an author name in --records")
     strays = [(rid, b.block_key) for b in blocks for rid in b.gold_label
-              if graph.author_index[b.block_key] not in graph.pub_authors[graph.pub_index[rid]]]
+              if b.block_key not in graph.pub_authors[graph.pub_index[rid]]]
     if strays:
         rid, key = min(strays)
         raise DataIntegrityError(
@@ -276,11 +276,15 @@ def _check_tsv_fields(blocks) -> None:
 
 
 def _out_dir(args) -> Path:
-    """``--out-dir``, made only once every block is done, so that an error
-    before then leaves no directory."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    """``--out-dir``, checked before any input is read: the nearest of it
+    and its parents that exists must be a directory, or it could not be
+    made. The caller makes it only once every block is done, so that an
+    error before then leaves no directory."""
+    path = Path(args.out_dir)
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise UsageError(f"--out-dir cannot be made: {nearest} is not a directory")
+    return path
 
 
 def _per_block(blocks, job):
@@ -315,6 +319,7 @@ def _per_block(blocks, job):
 def cmd_run(args) -> int:
     thresholds, sample_count, seed, alpha, _ = _settings(
         args, "thresholds", "sample_count", "seed", "alpha", "workers")
+    out_dir = _out_dir(args)
 
     def choose(blocks):
         if not blocks:
@@ -333,7 +338,7 @@ def cmd_run(args) -> int:
         return [(c, block_scores(c, b, alpha)) for c in cluster_block(b, graph, thresholds)]
 
     results = _per_block(blocks, job)
-    out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     comparisons = count_comparisons(blocks)
     report = {
         "alpha": alpha,
@@ -360,6 +365,7 @@ def cmd_run(args) -> int:
 def cmd_common_names(args) -> int:
     min_block_size, threshold, alpha, resolution, _ = _settings(
         args, "min_block_size", "threshold", "alpha", "resolution", "workers")
+    out_dir = _out_dir(args)
 
     graph, blocks = _inputs(args, lambda blocks: [b for b in blocks if b.m > min_block_size])
 
@@ -369,7 +375,7 @@ def cmd_common_names(args) -> int:
         return block_scores(base, b, alpha), block_scores(refined, b, alpha), info
 
     results = _per_block(blocks, job)
-    out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "threshold": threshold,
         "alpha": alpha,

@@ -41,10 +41,10 @@ def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[dict[str, str
             raise ValueError("distance bound must be odd and >= 1")
     levels = [(t + 1) // 2 for t in thresholds]
     members = sorted(b.gold_label)
-    excluded = g.author_index[b.block_key]
+    focal = b.block_key
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
-    # one id space for both sides: publications p >= 0, authors ~a < 0;
-    # parent holds the union-find forest over every node reached so far
+    # parent holds the union-find forest over every node reached so far:
+    # publications as their int ids, authors as their names
     ids = [g.pub_index[p] for p in members]
     parent = {p: p for p in ids}
 
@@ -60,9 +60,9 @@ def cluster_block(b: Block, g: BipartiteGraph, thresholds) -> list[dict[str, str
         nxt = []
         for u in frontier:
             if depth % 2 == 0:
-                nbrs = [~a for a in pub_authors[u] if a != excluded]
+                nbrs = [a for a in pub_authors[u] if a != focal]
             else:
-                nbrs = author_pubs[~u]
+                nbrs = author_pubs[u]
             # root is never re-pointed below, so it stays a root
             root = find(u)
             for v in nbrs:

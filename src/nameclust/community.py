@@ -53,15 +53,15 @@ def build_similarity_graph(b: Block, g: BipartiteGraph):
     weight-2 set; whatever one of its own authors reaches is already in
     the weight-2 set."""
     nodes = sorted(b.gold_label)
-    excluded = g.author_index[b.block_key]
+    focal = b.block_key
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
-    member_authors = [[a for a in pub_authors[g.pub_index[rid]] if a != excluded]
+    member_authors = [[a for a in pub_authors[g.pub_index[rid]] if a != focal]
                       for rid in nodes]
-    near: dict[int, set[int]] = {}
+    near: dict[str, set[int]] = {}
     for i, authors in enumerate(member_authors):
         for a in authors:
             near.setdefault(a, set()).add(i)
-    far: dict[int, set[int]] = {}
+    far: dict[str, set[int]] = {}
     for a in near:
         coauthors = {c for q in author_pubs[a] for c in pub_authors[q]}
         far[a] = set().union(*[near[c] for c in coauthors if c in near])

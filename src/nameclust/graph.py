@@ -1,8 +1,8 @@
 """Bipartite author-publication network and its bounded co-author reach.
 
-The graph is immutable after construction. Adjacency is two lists of
-id tuples over dense integer ids, numbered in the order the input first
-gives each publication and author name; no output depends on that order.
+The graph is immutable after construction. A publication is a dense
+integer id, numbered in the order the input gives the records; an author
+node is its name. No output depends on the numbering.
 """
 
 from __future__ import annotations
@@ -19,35 +19,30 @@ from .records import read_lines
 _CHUNK = 1 << 20
 
 
-# pub_keys[p] and author_names[a]: the record id and the name of ids p
-# and a, which pub_index and author_index map back; pub_authors[p]: author
-# ids of publication p, in the record's order; author_pubs[a]: ascending
-# publication ids of author a
+# pub_keys[p]: the record id of publication p, which pub_index maps back;
+# pub_authors[p]: its distinct author names, in the record's order;
+# author_pubs[name]: the ascending publication ids of that name's author
 BipartiteGraph = collections.namedtuple(
-    "BipartiteGraph",
-    ["pub_keys", "pub_index", "pub_authors", "author_names", "author_index", "author_pubs"])
+    "BipartiteGraph", ["pub_keys", "pub_index", "pub_authors", "author_pubs"])
 
 
-def _assemble(rows, author_index: dict[str, int], parts=()) -> BipartiteGraph:
-    """The graph of ``rows``, pairs of a record id and the distinct ids
-    its author names have in ``author_index``, which maps every name to a
-    dense id in the order it was first seen, followed by the rows of
-    ``parts``. Publications are numbered in the order their rows come.
+def _assemble(rows, parts=()) -> BipartiteGraph:
+    """The graph of ``rows``, pairs of a record id and its distinct author
+    names, followed by the rows of ``parts``. Publications are numbered
+    in the order their rows come.
 
     Each part, taken once ``rows`` is consumed, is a list of the record
-    ids of later rows, a list of their distinct author ids and the list
-    of the author names those ids index; each of those names is passed
-    once through ``author_index``. Rows are consumed once. Two rows with
-    one id raise ``DataIntegrityError`` before any later row or part is
-    taken.
+    ids of later rows and a list of their distinct author names. Rows are
+    consumed once. Two rows with one id raise ``DataIntegrityError``
+    before any later row or part is taken.
     """
     pub_index: dict[str, int] = {}
     pub_authors = []
-    for record_id, ids in rows:
+    for record_id, names in rows:
         if pub_index.setdefault(record_id, len(pub_authors)) != len(pub_authors):
             raise _twice(record_id)
-        pub_authors.append(tuple(ids))
-    for keys, authors, names in parts:
+        pub_authors.append(tuple(names))
+    for keys, authors in parts:
         start = len(pub_authors)
         part = dict(zip(keys, range(start, start + len(keys))))
         if len(part) < len(keys) or not pub_index.keys().isdisjoint(part):
@@ -57,14 +52,13 @@ def _assemble(rows, author_index: dict[str, int], parts=()) -> BipartiteGraph:
                     raise _twice(record_id)
                 seen.add(record_id)
         pub_index.update(part)
-        rank = [author_index.setdefault(name, len(author_index)) for name in names].__getitem__
-        pub_authors += [tuple(map(rank, ids)) for ids in authors]
-    author_pubs = [[] for _ in author_index]
-    for p, authors in enumerate(pub_authors):
-        for a in authors:
+        pub_authors += map(tuple, authors)
+    author_pubs = collections.defaultdict(list)
+    for p, names in enumerate(pub_authors):
+        for a in names:
             author_pubs[a].append(p)
-    return BipartiteGraph(list(pub_index), pub_index, pub_authors, list(author_index),
-                          author_index, list(map(tuple, author_pubs)))
+    return BipartiteGraph(list(pub_index), pub_index, pub_authors,
+                          dict(zip(author_pubs, map(tuple, author_pubs.values()))))
 
 
 def _twice(record_id) -> DataIntegrityError:
@@ -75,22 +69,22 @@ def build_graph(records) -> BipartiteGraph:
     """One author node per surface name, one pub node per authored record.
 
     ``records`` is consumed once, so a generator streams: only record
-    ids and surface names are kept. Records without author mentions are
-    skipped; duplicate same-name mentions on one record collapse to a
-    single edge. Two authored records with one id raise
-    ``DataIntegrityError``.
+    ids and surface names are kept, one string for each distinct name.
+    Records without author mentions are skipped; duplicate same-name
+    mentions on one record collapse to a single edge. Two authored
+    records with one id raise ``DataIntegrityError``.
     """
-    author_index: dict[str, int] = {}
-    rows = ((rec.record_id, [author_index.setdefault(name, len(author_index)) for name in
+    names: dict[str, str] = {}
+    rows = ((rec.record_id, [names.setdefault(name, name) for name in
                              dict.fromkeys([m.surface_name for m in rec.mentions])])
             for rec in records if rec.mentions)
-    return _assemble(rows, author_index)
+    return _assemble(rows)
 
 
 def load_graph(path) -> BipartiteGraph:
     """``build_graph(read_records(path))``, built in one pass over the
     JSONL file with no record objects: each line goes straight to a
-    record id and author ids. A malformed line raises CorpusParseError
+    record id and author names. A malformed line raises CorpusParseError
     as ``read_records`` does.
 
     Where ``os.fork`` exists and ``path`` is a regular file, a forked
@@ -100,24 +94,20 @@ def load_graph(path) -> BipartiteGraph:
     """
     cut = _middle_line_end(path) if hasattr(os, "fork") else None
     if cut is None:
-        return _assemble(*_rows(path))
+        return _assemble(_rows(path))
     with forked(_tail(path, cut)) as tail:
-        return _assemble(*_rows(path, 0, cut), tail)
+        return _assemble(_rows(path, 0, cut), tail)
 
 
 def _rows(path, *span):
-    """The (record id, distinct author ids) rows of the authored records
-    that ``read_lines(path, ..., *span)`` reads, and the dict of the
-    author names those ids index, filled as the rows are taken. A name
-    that a record lists twice, or with and without a gold id, is one id."""
-    author_index: dict[str, int] = {}
-
-    def author(name, gold_id):
-        return author_index.setdefault(name, len(author_index))
-
-    rows = ((fields[0], ids if len(set(ids)) == len(ids) else list(dict.fromkeys(ids)))
-            for fields, ids in read_lines(path, author, *span) if ids)
-    return rows, author_index
+    """The (record id, distinct author names) rows of the authored records
+    that ``read_lines(path, ..., *span)`` reads. A name that a record
+    lists twice, or with and without a gold id, is listed once, and equal
+    names are one string object."""
+    names: dict[str, str] = {}
+    lines = read_lines(path, lambda name, gold_id: names.setdefault(name, name), *span)
+    return ((fields[0], ns if len(set(ns)) == len(ns) else list(dict.fromkeys(ns)))
+            for fields, ns in lines if ns)
 
 
 def _middle_line_end(path):
@@ -148,14 +138,13 @@ def _tail(path, start):
                 break
             lines += chunk.count(b"\n")
             left -= len(chunk)
-    rows, author_index = _rows(path, start, None, lines + 1)
     keys, authors = [], []
     try:
-        for record_id, ids in rows:
+        for record_id, names in _rows(path, start, None, lines + 1):
             keys.append(record_id)
-            authors.append(ids)
+            authors.append(names)
     finally:
-        yield [keys, authors, list(author_index)]
+        yield [keys, authors]
 
 
 def pubs_within(g: BipartiteGraph, p: str, k: int,
@@ -170,15 +159,16 @@ def pubs_within(g: BipartiteGraph, p: str, k: int,
     if k < 1:
         raise ValueError("co-author order must be >= 1")
     src = g.pub_index[p]
-    excluded = -1 if excluded_author is None else g.author_index[excluded_author]
+    if excluded_author is not None and excluded_author not in g.author_pubs:
+        raise KeyError(excluded_author)
+    seen_auths = set() if excluded_author is None else {excluded_author}
     hops = {src: 0}
-    seen_auths = set()
     frontier = [src]
     for hop in range(1, k + 1):
         nxt = []
         for q in frontier:
             for a in g.pub_authors[q]:
-                if a == excluded or a in seen_auths:
+                if a in seen_auths:
                     continue
                 seen_auths.add(a)
                 for r in g.author_pubs[a]:

@@ -769,6 +769,28 @@ def test_bad_setting_exits_1_before_reading_input(tmp_path, capsys, argv, config
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", ["run", "common-names"])
+def test_out_dir_that_cannot_be_made_exits_1_before_reading_input(tmp_path, monkeypatch,
+                                                                  capsys, command, under):
+    # an --out-dir that is a file, or lies under one, is found before the
+    # graph is loaded, not once every block is done
+    afile = tmp_path / "afile"
+    afile.write_text("earlier\n")
+
+    def no_load(path):
+        raise AssertionError("load_graph called")
+
+    monkeypatch.setattr(nameclust.cli, "load_graph", no_load)
+    out = afile / "sub" if under else afile
+    assert run_cli(command, "--records", tmp_path / "none.jsonl",
+                   "--gold", tmp_path / "none.json", "--out-dir", out) == 1
+    assert capsys.readouterr().err == \
+        f"nameclust: error: --out-dir cannot be made: {afile} is not a directory\n"
+    assert afile.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["run", "--threshold", 2, "--alpha", 2], None, "threshold must be odd and >= 1, got 2"),
     (["run", "--threshold", 2], "alpha = half\n", "--config: bad value 'half' for alpha"),
@@ -1015,6 +1037,53 @@ def test_outputs_do_not_depend_on_record_order(tmp_path, monkeypatch, capsys, fo
     for k, argv in enumerate(commands):
         seen = []
         for path in (records, shuffled):
+            out = tmp_path / f"{path.stem}{k}"
+            assert run_cli(argv[0], "--records", path, "--gold", gold,
+                           "--out-dir", out, *argv[1:]) == 0
+            seen.append((capsys.readouterr().out, _outputs(out)))
+        assert seen[0] == seen[1], argv
+    assert bool(forks) == fork and no_child_left()
+
+
+def _renamed(records, gold):
+    """``records`` with every author name that is no block key of ``gold``
+    replaced by a fresh one, through a fixed bijection that mixes the
+    names' order and puts every new name before every block key."""
+    blocks = set(read_gold(gold))
+    lines = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    others = list(dict.fromkeys(a["name"] for obj in lines for a in obj["authors"]
+                                if a["name"] not in blocks))
+    fresh = [f"A{i}" for i in range(len(others))]
+    random.Random(7).shuffle(fresh)
+    rename = dict(zip(others, fresh))
+    renamed = records.with_name("renamed.jsonl")
+    with open(renamed, "w", encoding="utf-8") as fh:
+        for obj in lines:
+            for a in obj["authors"]:
+                a["name"] = rename.get(a["name"], a["name"])
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    return renamed
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_outputs_do_not_depend_on_the_other_authors_names(tmp_path, monkeypatch, capsys,
+                                                          forks, fork):
+    # an author node is its name, but only the block's own name may
+    # matter: renaming every other author changes no byte of any output
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 40, "--seed", 2, "--bridge-rate", 0.3) == 0
+    renamed = _renamed(records, gold)
+    assert renamed.read_bytes() != records.read_bytes()
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    capsys.readouterr()
+    commands = [["run", "--threshold", 1, "--threshold", 3, "--threshold", 5]]
+    commands += [["common-names", "--min-block-size", 0, "--threshold", t] for t in (1, 3)]
+    for k, argv in enumerate(commands):
+        seen = []
+        for path in (records, renamed):
             out = tmp_path / f"{path.stem}{k}"
             assert run_cli(argv[0], "--records", path, "--gold", gold,
                            "--out-dir", out, *argv[1:]) == 0

@@ -111,16 +111,16 @@ def test_similarity_graph_matches_bfs_oracle_hub_coauthors():
     assert weights.count(2.0) > 3_000 and weights.count(1.0) > 3_000
 
 
-class _RecordingList(list):
-    """A list that records each index it is asked for."""
+class _RecordingDict(dict):
+    """A dict that records each key it is asked for."""
 
     def __init__(self, items):
         super().__init__(items)
         self.asked = []
 
-    def __getitem__(self, i):
-        self.asked.append(i)
-        return super().__getitem__(i)
+    def __getitem__(self, key):
+        self.asked.append(key)
+        return super().__getitem__(key)
 
 
 def test_similarity_graph_reads_only_the_members_authors():
@@ -131,10 +131,10 @@ def test_similarity_graph_reads_only_the_members_authors():
         records = cases.hub_corpus(rng)
         graph = build_graph(records)
         for block in build_blocks(build_gold_standard(records)):
-            focal = graph.author_index[block.block_key]
+            focal = block.block_key
             a1 = {a for rid in block.gold_label for a in graph.pub_authors[graph.pub_index[rid]]
                   if a != focal}
-            recording = graph._replace(author_pubs=_RecordingList(graph.author_pubs))
+            recording = graph._replace(author_pubs=_RecordingDict(graph.author_pubs))
             similarity_graph(block, recording)
             asked = recording.author_pubs.asked
             assert set(asked) <= a1 and len(asked) == len(set(asked)), block.block_key

@@ -19,8 +19,7 @@ from nameclust.records import (AuthorMention, RawRecord, read_records, record_to
                                write_records)
 from nameclust.synth import SynthConfig, generate_corpus
 
-GRAPH_FIELDS = ("pub_keys", "author_names", "pub_index", "author_index", "pub_authors",
-                "author_pubs")
+GRAPH_FIELDS = ("pub_keys", "pub_index", "pub_authors", "author_pubs")
 
 
 @pytest.fixture
@@ -32,16 +31,14 @@ def test_structure(fig1_graph):
     g = fig1_graph
     assert len(g.pub_keys) == 5
     # suffixes are stripped: 'Daniel Schall 0001' -> author node 'Daniel Schall'
-    assert "Daniel Schall" in g.author_index
+    assert "Daniel Schall" in g.author_pubs
     assert len(g.pub_authors[g.pub_index["k/p1"]]) == 2
-    assert [g.author_names[a] for a in g.pub_authors[g.pub_index["k/p5"]]] == \
-        ["Alice A", "Bob B"]
+    assert list(g.pub_authors[g.pub_index["k/p5"]]) == ["Alice A", "Bob B"]
 
 
-def test_graph_is_a_named_tuple_of_six_tables(fig1_graph):
+def test_graph_is_a_named_tuple_of_four_tables(fig1_graph):
     assert isinstance(fig1_graph, tuple)
-    assert fig1_graph._fields == ("pub_keys", "pub_index", "pub_authors", "author_names",
-                                  "author_index", "author_pubs")
+    assert fig1_graph._fields == ("pub_keys", "pub_index", "pub_authors", "author_pubs")
 
 
 def test_records_without_mentions_excluded():
@@ -262,9 +259,9 @@ def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
         fh.write("\n  \n")  # blank lines
     g = _loaded_both_ways(path)
     assert g.pub_keys == ["p3", "p1", "p2"]
-    assert g.author_names == ["A B", "C D", "E F"]
-    assert g.pub_authors == [(0, 1), (1, 0), (0, 2)]
-    assert g.author_pubs == [(0, 1, 2), (0, 1), (2,)]
+    assert list(g.author_pubs) == ["A B", "C D", "E F"]
+    assert g.pub_authors == [("A B", "C D"), ("C D", "A B"), ("A B", "E F")]
+    assert g.author_pubs == {"A B": (0, 1, 2), "C D": (0, 1), "E F": (2,)}
 
 
 def test_load_graph_rejects_a_duplicate_record_id(tmp_path):
@@ -280,6 +277,20 @@ def test_load_graph_rejects_a_duplicate_record_id(tmp_path):
 def test_duplicate_names_collapse_to_one_edge():
     g = build_graph([rec("p1", "A B", "A B", "C D")])
     assert len(g.pub_authors[g.pub_index["p1"]]) == 2
+
+
+def test_each_distinct_name_is_one_string(tmp_path, monkeypatch):
+    # mentions of one name, parsed apart (and with and without a gold id),
+    # are equal strings but distinct objects; the graph keeps one of each
+    records = [rec(f"p{i}", "Wei Li 0001" if i % 2 else "".join(["Wei", " Li"]),
+                   "".join(["C", " D"])) for i in range(6)]
+    assert len({id(m.surface_name) for r in records for m in r.mentions}) > 2
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    monkeypatch.delattr(os, "fork")
+    for g in (build_graph(records), load_graph(path)):
+        names = [a for authors in g.pub_authors for a in authors]
+        assert len({id(a) for a in names}) == len(g.author_pubs) == 2
 
 
 def _distance(g, p1, p2, t, focal):
