@@ -8,6 +8,7 @@ node is its name. No output depends on the numbering.
 from __future__ import annotations
 
 import collections
+import itertools
 import os
 import stat
 
@@ -15,49 +16,34 @@ from .errors import DataIntegrityError
 from .forked import forked
 from .records import read_lines
 
-# bytes read at a time while counting the lines before the child's part
+# bytes read at a time while counting the lines before the child's half
 _CHUNK = 1 << 20
 
 
-# pub_keys[p]: the record id of publication p, which pub_index maps back;
+# pub_index[record id]: its publication id p, numbered in the dict's order;
 # pub_authors[p]: its distinct author names, in the record's order;
 # author_pubs[name]: the ascending publication ids of that name's author
 BipartiteGraph = collections.namedtuple(
-    "BipartiteGraph", ["pub_keys", "pub_index", "pub_authors", "author_pubs"])
+    "BipartiteGraph", ["pub_index", "pub_authors", "author_pubs"])
 
 
-def _assemble(rows, parts=()) -> BipartiteGraph:
-    """The graph of ``rows``, pairs of a record id and its distinct author
-    names, followed by the rows of ``parts``. Publications are numbered
-    in the order their rows come.
-
-    Each part, taken once ``rows`` is consumed, is a list of the record
-    ids of later rows and a list of their distinct author names. Rows are
-    consumed once. Two rows with one id raise ``DataIntegrityError``
-    before any later row or part is taken.
+def _assemble(rows) -> BipartiteGraph:
+    """The graph of ``rows``, pairs of a record id and the tuple of its
+    distinct author names, consumed once. Publications are numbered in
+    the order their rows come; two rows with one id raise
+    ``DataIntegrityError`` before any later row is taken.
     """
     pub_index: dict[str, int] = {}
     pub_authors = []
     for record_id, names in rows:
         if pub_index.setdefault(record_id, len(pub_authors)) != len(pub_authors):
             raise _twice(record_id)
-        pub_authors.append(tuple(names))
-    for keys, authors in parts:
-        start = len(pub_authors)
-        part = dict(zip(keys, range(start, start + len(keys))))
-        if len(part) < len(keys) or not pub_index.keys().isdisjoint(part):
-            seen = set()
-            for record_id in keys:
-                if record_id in pub_index or record_id in seen:
-                    raise _twice(record_id)
-                seen.add(record_id)
-        pub_index.update(part)
-        pub_authors += map(tuple, authors)
+        pub_authors.append(names)
     author_pubs = collections.defaultdict(list)
     for p, names in enumerate(pub_authors):
         for a in names:
             author_pubs[a].append(p)
-    return BipartiteGraph(list(pub_index), pub_index, pub_authors,
+    return BipartiteGraph(pub_index, pub_authors,
                           dict(zip(author_pubs, map(tuple, author_pubs.values()))))
 
 
@@ -75,8 +61,8 @@ def build_graph(records) -> BipartiteGraph:
     records with one id raise ``DataIntegrityError``.
     """
     names: dict[str, str] = {}
-    rows = ((rec.record_id, [names.setdefault(name, name) for name in
-                             dict.fromkeys([m.surface_name for m in rec.mentions])])
+    rows = ((rec.record_id, tuple([names.setdefault(name, name) for name in
+                                   dict.fromkeys([m.surface_name for m in rec.mentions])]))
             for rec in records if rec.mentions)
     return _assemble(rows)
 
@@ -96,17 +82,18 @@ def load_graph(path) -> BipartiteGraph:
     if cut is None:
         return _assemble(_rows(path))
     with forked(_tail(path, cut)) as tail:
-        return _assemble(_rows(path, 0, cut), tail)
+        return _assemble(itertools.chain(_rows(path, 0, cut),
+                                         itertools.chain.from_iterable(tail)))
 
 
 def _rows(path, *span):
-    """The (record id, distinct author names) rows of the authored records
-    that ``read_lines(path, ..., *span)`` reads. A name that a record
-    lists twice, or with and without a gold id, is listed once, and equal
-    names are one string object."""
+    """The (record id, tuple of distinct author names) rows of the
+    authored records that ``read_lines(path, ..., *span)`` reads. A name
+    that a record lists twice, or with and without a gold id, is listed
+    once, and equal names are one string object."""
     names: dict[str, str] = {}
     lines = read_lines(path, lambda name, gold_id: names.setdefault(name, name), *span)
-    return ((fields[0], ns if len(set(ns)) == len(ns) else list(dict.fromkeys(ns)))
+    return ((fields[0], tuple(ns) if len(set(ns)) == len(ns) else tuple(dict.fromkeys(ns)))
             for fields, ns in lines if ns)
 
 
@@ -125,10 +112,10 @@ def _middle_line_end(path):
 
 
 def _tail(path, start):
-    """Run by the forked child of ``load_graph``: yield one part for
-    ``_assemble``, the rows from byte ``start`` of ``path`` to its end;
-    if an error stops the read, the part holds the rows before it, and
-    the error is raised after it."""
+    """Run by the forked child of ``load_graph``: yield one list of the
+    rows from byte ``start`` of ``path`` to its end; if an error stops the
+    read, the list holds the rows before it, and the error is raised
+    after it."""
     lines = 0  # newlines before ``start``, so that errors name the file's line
     with open(path, "rb") as fh:
         left = start
@@ -138,13 +125,12 @@ def _tail(path, start):
                 break
             lines += chunk.count(b"\n")
             left -= len(chunk)
-    keys, authors = [], []
+    rows = []
     try:
-        for record_id, names in _rows(path, start, None, lines + 1):
-            keys.append(record_id)
-            authors.append(names)
+        for row in _rows(path, start, None, lines + 1):
+            rows.append(row)
     finally:
-        yield [keys, authors]
+        yield rows
 
 
 def pubs_within(g: BipartiteGraph, p: str, k: int,
@@ -179,4 +165,5 @@ def pubs_within(g: BipartiteGraph, p: str, k: int,
             break
         frontier = nxt
     del hops[src]
-    return {g.pub_keys[q]: hop for q, hop in hops.items()}
+    keys = list(g.pub_index)
+    return {keys[q]: hop for q, hop in hops.items()}

@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import random
 import signal
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from nameclust.records import (AuthorMention, RawRecord, read_records, record_to
                                write_records)
 from nameclust.synth import SynthConfig, generate_corpus
 
-GRAPH_FIELDS = ("pub_keys", "pub_index", "pub_authors", "author_pubs")
+GRAPH_FIELDS = ("pub_index", "pub_authors", "author_pubs")
 
 
 @pytest.fixture
@@ -29,21 +31,21 @@ def fig1_graph(fig1_records):
 
 def test_structure(fig1_graph):
     g = fig1_graph
-    assert len(g.pub_keys) == 5
+    assert len(g.pub_index) == 5
     # suffixes are stripped: 'Daniel Schall 0001' -> author node 'Daniel Schall'
     assert "Daniel Schall" in g.author_pubs
     assert len(g.pub_authors[g.pub_index["k/p1"]]) == 2
     assert list(g.pub_authors[g.pub_index["k/p5"]]) == ["Alice A", "Bob B"]
 
 
-def test_graph_is_a_named_tuple_of_four_tables(fig1_graph):
+def test_graph_is_a_named_tuple_of_three_tables(fig1_graph):
     assert isinstance(fig1_graph, tuple)
-    assert fig1_graph._fields == ("pub_keys", "pub_index", "pub_authors", "author_pubs")
+    assert fig1_graph._fields == ("pub_index", "pub_authors", "author_pubs")
 
 
 def test_records_without_mentions_excluded():
     g = build_graph([rec("p1", "A B"), rec("p2")])
-    assert len(g.pub_keys) == 1
+    assert len(g.pub_index) == 1
 
 
 def test_one_shot_generator_builds_the_same_graph():
@@ -53,7 +55,7 @@ def test_one_shot_generator_builds_the_same_graph():
     from_gen = build_graph(r for r in records)
     for attr in GRAPH_FIELDS:
         assert getattr(from_gen, attr) == getattr(from_list, attr), attr
-    assert len(from_gen.pub_keys) == len(records) - 1
+    assert len(from_gen.pub_index) == len(records) - 1
 
 
 def test_duplicate_record_id_rejected():
@@ -174,7 +176,7 @@ def test_forked_load_raises_the_error_of_a_serial_load(tmp_path, lines, error, m
 def test_file_whose_middle_is_in_its_last_line_loads_in_one_process(tmp_path, last, keys):
     path = tmp_path / "records.jsonl"
     path.write_bytes(_line(0) + last)
-    assert _loaded_every_way(path, forked=False)[0] == keys
+    assert list(_loaded_every_way(path, forked=False)[0]) == keys
 
 
 def test_child_is_killed_when_the_first_half_fails(tmp_path, monkeypatch):
@@ -246,6 +248,29 @@ def test_forked_load_equals_serial_load_on_drawn_files(lines, cut_last_newline):
         _loaded_every_way(path, forked=cut is not None)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_load_peaks_no_higher_than_a_serial_load(tmp_path, monkeypatch):
+    # the child's rows join this process's rows in one stream, so the
+    # loading process holds no second copy of the child's half
+    path = tmp_path / "records.jsonl"
+    write_records(generate_corpus(SynthConfig(blocks=200, seed=2, bridge_rate=0.3)), path)
+    assert graph._middle_line_end(path) is not None
+
+    def traced_peak():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_graph(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        serial = traced_peak()
+    assert traced_peak() <= 1.05 * serial
+
+
 def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records([
@@ -258,7 +283,7 @@ def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
     with open(path, "a") as fh:
         fh.write("\n  \n")  # blank lines
     g = _loaded_both_ways(path)
-    assert g.pub_keys == ["p3", "p1", "p2"]
+    assert list(g.pub_index) == ["p3", "p1", "p2"]
     assert list(g.author_pubs) == ["A B", "C D", "E F"]
     assert g.pub_authors == [("A B", "C D"), ("C D", "A B"), ("A B", "E F")]
     assert g.author_pubs == {"A B": (0, 1, 2), "C D": (0, 1), "E F": (2,)}

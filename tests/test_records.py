@@ -298,4 +298,4 @@ def test_line_decoding_agrees_with_json_loads(tmp_path, text):
         assert str(err) == f"invalid JSON: {exc.msg} ({path}; line 2, col {column})"
     else:
         assert [r.record_id for r in read_records(path)] == ["a/1", obj["id"]]
-        assert load_graph(path).pub_keys == ["a/1", obj["id"]]
+        assert list(load_graph(path).pub_index) == ["a/1", obj["id"]]
