@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import math
 
 from .gold import Block
 
@@ -14,16 +15,6 @@ def f_measure(p: float, r: float, alpha: float = 0.5) -> float:
     if p == 0.0 or r == 0.0:
         return 0.0
     return 1.0 / (alpha / p + (1.0 - alpha) / r)
-
-
-def _intersections(c: dict[str, str], b: Block):
-    """Per (cluster, gold class) overlap counts."""
-    counts: dict[str, dict[str, int]] = {}
-    for rid, cid in c.items():
-        label = b.gold_label[rid]
-        per = counts.setdefault(cid, {})
-        per[label] = per.get(label, 0) + 1
-    return counts
 
 
 def item_scores(c: dict[str, str], b: Block, e: str, alpha: float = 0.5) -> BcubedScores:
@@ -42,38 +33,45 @@ def item_scores(c: dict[str, str], b: Block, e: str, alpha: float = 0.5) -> Bcub
     return BcubedScores(p, r, f_measure(p, r, alpha))
 
 
+def _mean(parts: dict[int, int], m: int) -> float:
+    """sum(n / d for d, n in parts.items()) / m, rounded once."""
+    lcm = math.lcm(*parts)
+    return sum(n * (lcm // d) for d, n in parts.items()) / (lcm * m)
+
+
 def block_scores(c: dict[str, str], b: Block, alpha: float = 0.5) -> BcubedScores:
     """Arithmetic mean of the item scores over the block's publications;
-    F is averaged per item, not taken from the mean P and R."""
-    counts = _intersections(c, b)
-    cluster_sizes = {cid: sum(per.values()) for cid, per in counts.items()}
-    class_sizes: dict[str, int] = {}
-    for label in b.gold_label.values():
-        class_sizes[label] = class_sizes.get(label, 0) + 1
+    F is averaged per item, not taken from the mean P and R.
+
+    The i members of a (cluster c, gold class l) cell each score i/|c|,
+    i/|l| and i/(alpha|c| + (1-alpha)|l|); with alpha = an/ad exactly,
+    each mean is an integer sum per denominator, rounded once."""
+    an, ad = alpha.as_integer_ratio()
+    sizes = collections.Counter(c.values())
+    classes = collections.Counter(b.gold_label.values())
+    cells = collections.Counter(zip(c.values(), map(b.gold_label.__getitem__, c)))
+    p, r, f = {}, {}, {}  # {denominator: summed numerators}
+    for (cid, label), i in cells.items():
+        size, cls = sizes[cid], classes[label]
+        sq = i * i
+        p[size] = p.get(size, 0) + sq
+        r[cls] = r.get(cls, 0) + sq
+        d = an * size + (ad - an) * cls  # ad times F's denominator
+        f[d] = f.get(d, 0) + sq * ad
     m = len(b.gold_label)
-    sum_p = sum_r = sum_f = 0.0
-    for rid in sorted(b.gold_label):  # fixed float summation order
-        cid = c[rid]
-        label = b.gold_label[rid]
-        inter = counts[cid][label]
-        p = inter / cluster_sizes[cid]
-        r = inter / class_sizes[label]
-        sum_p += p
-        sum_r += r
-        sum_f += f_measure(p, r, alpha)
-    return BcubedScores(sum_p / m, sum_r / m, sum_f / m)
+    return BcubedScores(_mean(p, m), _mean(r, m), _mean(f, m))
 
 
 def corpus_scores(per_block: list[BcubedScores]) -> BcubedScores:
-    """Macro-average over blocks."""
+    """Macro-average over blocks: the exact mean of the given floats,
+    rounded once, whatever their order."""
     if not per_block:
         raise ValueError("cannot aggregate an empty list of block scores")
-    n = len(per_block)
-    # summed left to right: sum() adds floats with compensation since
-    # Python 3.12, which would change the last digit between versions
-    sum_p = sum_r = sum_f = 0.0
-    for s in per_block:
-        sum_p += s.precision
-        sum_r += s.recall
-        sum_f += s.f
-    return BcubedScores(sum_p / n, sum_r / n, sum_f / n)
+    means = []
+    for column in zip(*per_block):
+        parts: dict[int, int] = {}
+        for v in column:
+            n, d = v.as_integer_ratio()
+            parts[d] = parts.get(d, 0) + n
+        means.append(_mean(parts, len(per_block)))
+    return BcubedScores(*means)

@@ -16,6 +16,7 @@ import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import networkx as nx
 
@@ -137,6 +138,25 @@ def oracle_bcubed_block(items, predicted, gold, alpha=0.5):
     return (sum(t[0] for t in trip) / n,
             sum(t[1] for t in trip) / n,
             sum(t[2] for t in trip) / n)
+
+
+def oracle_bcubed_exact(items, predicted, gold, alpha=0.5):
+    """Block BCubed as exact Fractions, from the same pair counts as
+    oracle_bcubed_item, with alpha taken as the exact value of its float.
+    Every item shares its own cluster and class, so no side is 0."""
+    a = Fraction(alpha)
+    sum_p = sum_r = sum_f = Fraction(0)
+    for e in items:
+        same_cluster = [x for x in items if predicted[x] == predicted[e]]
+        same_class = [x for x in items if gold[x] == gold[e]]
+        correct_in_cluster = sum(1 for x in same_cluster if gold[x] == gold[e])
+        p = Fraction(correct_in_cluster, len(same_cluster))
+        r = Fraction(correct_in_cluster, len(same_class))
+        sum_p += p
+        sum_r += r
+        sum_f += 1 / (a / p + (1 - a) / r)
+    n = len(items)
+    return sum_p / n, sum_r / n, sum_f / n
 
 
 # -- modularity --------------------------------------------------------------

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cases import groups_to_clustering
@@ -12,7 +15,10 @@ from nameclust.bcubed import (
     f_measure,
     item_scores,
 )
-from nameclust.gold import Block
+from nameclust.cluster import cluster_block
+from nameclust.gold import Block, build_blocks, build_gold_standard
+from nameclust.graph import build_graph
+from nameclust.synth import SynthConfig, generate_corpus
 
 
 def make_block(gold_label):
@@ -114,6 +120,66 @@ def test_oracle_equivalence(seed):
     assert got_block.f == pytest.approx(bf, abs=1e-12)
 
 
+def _exact(c, block, alpha):
+    items = list(block.gold_label)
+    predicted = {p: c[p] for p in items}
+    return BcubedScores(*map(float, oracles.oracle_bcubed_exact(
+        items, predicted, block.gold_label, alpha)))
+
+
+ALPHAS = (0, 0.0, 0.25, 0.3, 0.5, 1, 1.0)  # an int alpha too
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_scores_equal_the_exact_oracle(seed):
+    rng = random.Random(seed)
+    block, c, _ = _random_instance(rng, rng.randint(1, 12))
+    for alpha in ALPHAS:
+        assert block_scores(c, block, alpha) == _exact(c, block, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=15),
+       st.sampled_from(ALPHAS))
+def test_block_scores_equal_the_exact_oracle_generated(labels, alpha):
+    block = make_block({f"p{i}": f"g{g}" for i, (_, g) in enumerate(labels)})
+    groups = {}
+    for i, (k, _) in enumerate(labels):
+        groups.setdefault(k, []).append(f"p{i}")
+    c = make_clustering(groups.values())
+    assert block_scores(c, block, alpha) == _exact(c, block, alpha)
+
+
+@pytest.fixture(scope="module")
+def bridged_blocks():
+    """Each block of the 40-block bridged desk corpus, with its t=1 and
+    t=3 clusterings."""
+    records = generate_corpus(SynthConfig(blocks=40, seed=2, bridge_rate=0.3))
+    graph = build_graph(records)
+    blocks = build_blocks(build_gold_standard(records))
+    return [(b, cluster_block(b, graph, [1, 3])) for b in blocks]
+
+
+def test_block_scores_equal_the_exact_oracle_on_a_synth_corpus(bridged_blocks):
+    for block, clusterings in bridged_blocks:
+        for c in clusterings:
+            for alpha in (0.5, 0.3):
+                assert block_scores(c, block, alpha) == _exact(c, block, alpha)
+
+
+def test_block_scores_ignore_dict_order(bridged_blocks):
+    rng = random.Random(3)
+    instances = [_random_instance(rng, rng.randint(1, 12))[:2] for _ in range(50)]
+    instances += [(b, c) for b, clusterings in bridged_blocks for c in clusterings]
+    for block, c in instances:
+        reversed_block = make_block(reversed(block.gold_label.items()))
+        reversed_c = dict(reversed(c.items()))
+        for alpha in (0.5, 0.3):
+            want = [v.hex() for v in block_scores(c, block, alpha)]
+            got = [v.hex() for v in block_scores(reversed_c, reversed_block, alpha)]
+            assert got == want
+
+
 def test_refinement_monotonicity():
     # splitting a cluster never lowers the block's mean precision, and
     # merging two clusters never lowers any item's recall (an individual
@@ -148,11 +214,23 @@ def test_corpus_macro_average():
     assert (c.precision, c.recall, c.f) == (0.75, 0.75, 0.75)
 
 
-def test_corpus_sums_left_to_right():
-    # a compensated sum (Python 3.12's sum()) reads 0.1 here, so the
-    # corpus scores would depend on the Python version
+def test_corpus_mean_is_exact():
+    # summed left to right this reads 0.09999999999999999, and Python
+    # 3.12's compensated sum() reads 0.1; the exact mean, rounded once,
+    # is 0.1 on every Python version
     c = corpus_scores([BcubedScores(0.1, 0.1, 0.1)] * 10)
-    assert (c.precision, c.recall, c.f) == (0.09999999999999999,) * 3
+    assert (c.precision, c.recall, c.f) == (0.1,) * 3
+
+
+def test_corpus_ignores_block_order():
+    rng = random.Random(11)
+    per_block = [BcubedScores(*(rng.random() for _ in range(3))) for _ in range(200)]
+    want = corpus_scores(per_block)
+    exact = [float(sum(map(Fraction, col)) / len(col)) for col in zip(*per_block)]
+    assert tuple(want) == tuple(exact)
+    for _ in range(5):
+        rng.shuffle(per_block)
+        assert corpus_scores(per_block) == want
 
 
 def test_corpus_empty_rejected():
