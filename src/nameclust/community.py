@@ -48,10 +48,9 @@ def build_similarity_graph(b: Block, g: BipartiteGraph):
     author a of a member, read off the members' own author lists;
     ``far[a]`` is the union of ``near`` over the authors of a's
     publications, so each such author's publication list is read once.
-    A member's weight-2 set is the union of ``near`` over its non-focal
-    authors, its weight-1 set the union of ``far`` over them less the
-    weight-2 set; whatever one of its own authors reaches is already in
-    the weight-2 set."""
+    A member's row is 1.0 on the union of ``far`` over its non-focal
+    authors, then 2.0 on the union of ``near`` over them, which the first
+    union holds, since each author is among its own co-authors."""
     nodes = sorted(b.gold_label)
     focal = b.block_key
     pub_authors, author_pubs = g.pub_authors, g.author_pubs
@@ -67,11 +66,8 @@ def build_similarity_graph(b: Block, g: BipartiteGraph):
         far[a] = set().union(*[near[c] for c in coauthors if c in near])
     adj: list[dict[int, float]] = []
     for i, authors in enumerate(member_authors):
-        strong = set().union(*[near[a] for a in authors])
-        weak = set().union(*[far[a] for a in authors])
-        weak -= strong
-        row = dict.fromkeys(weak, 1.0)
-        row.update(dict.fromkeys(strong, 2.0))
+        row = dict.fromkeys(set().union(*[far[a] for a in authors]), 1.0)
+        row.update(dict.fromkeys(set().union(*[near[a] for a in authors]), 2.0))
         row.pop(i, None)
         adj.append(row)
     return nodes, adj

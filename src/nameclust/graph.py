@@ -35,20 +35,16 @@ def _assemble(rows) -> BipartiteGraph:
     """
     pub_index: dict[str, int] = {}
     pub_authors = []
-    for record_id, names in rows:
-        if pub_index.setdefault(record_id, len(pub_authors)) != len(pub_authors):
-            raise _twice(record_id)
-        pub_authors.append(names)
     author_pubs = collections.defaultdict(list)
-    for p, names in enumerate(pub_authors):
+    for p, (record_id, names) in enumerate(rows):
+        if pub_index.setdefault(record_id, p) != p:
+            raise DataIntegrityError(f"record id {record_id!r} occurs twice in the records")
+        pub_authors.append(names)
         for a in names:
             author_pubs[a].append(p)
-    return BipartiteGraph(pub_index, pub_authors,
-                          dict(zip(author_pubs, map(tuple, author_pubs.values()))))
-
-
-def _twice(record_id) -> DataIntegrityError:
-    return DataIntegrityError(f"record id {record_id!r} occurs twice in the records")
+    for a, pubs in author_pubs.items():
+        author_pubs[a] = tuple(pubs)
+    return BipartiteGraph(pub_index, pub_authors, dict(author_pubs))
 
 
 def build_graph(records) -> BipartiteGraph:
@@ -83,7 +79,7 @@ def load_graph(path) -> BipartiteGraph:
         return _assemble(_rows(path))
     with forked(_tail(path, cut)) as tail:
         return _assemble(itertools.chain(_rows(path, 0, cut),
-                                         itertools.chain.from_iterable(tail)))
+                                         itertools.chain.from_iterable(zip(*m) for m in tail)))
 
 
 def _rows(path, *span):
@@ -112,10 +108,10 @@ def _middle_line_end(path):
 
 
 def _tail(path, start):
-    """Run by the forked child of ``load_graph``: yield one list of the
-    rows from byte ``start`` of ``path`` to its end; if an error stops the
-    read, the list holds the rows before it, and the error is raised
-    after it."""
+    """Run by the forked child of ``load_graph``: yield ``[ids, names]``,
+    the record ids and the name tuples of the rows from byte ``start`` of
+    ``path`` to its end, as two lists; if an error stops the read, they
+    hold the rows before it, and the error is raised after them."""
     lines = 0  # newlines before ``start``, so that errors name the file's line
     with open(path, "rb") as fh:
         left = start
@@ -125,12 +121,13 @@ def _tail(path, start):
                 break
             lines += chunk.count(b"\n")
             left -= len(chunk)
-    rows = []
+    ids, names = [], []
     try:
-        for row in _rows(path, start, None, lines + 1):
-            rows.append(row)
+        for record_id, ns in _rows(path, start, None, lines + 1):
+            ids.append(record_id)
+            names.append(ns)
     finally:
-        yield rows
+        yield [ids, names]
 
 
 def pubs_within(g: BipartiteGraph, p: str, k: int,

@@ -1092,6 +1092,60 @@ def test_outputs_do_not_depend_on_the_other_authors_names(tmp_path, monkeypatch,
     assert bool(forks) == fork and no_child_left()
 
 
+def _reided(records, gold):
+    """``records`` and ``gold`` with every record id replaced through a
+    fixed bijection that keeps the ids' order but not their length or
+    characters, and that bijection."""
+    lines = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    rng = random.Random(11)
+    reid = {rid: f"{i:06d}/é{'x' * rng.randrange(4)}"
+            for i, rid in enumerate(sorted(obj["id"] for obj in lines))}
+    new_records = records.with_name("reided.jsonl")
+    with open(new_records, "w", encoding="utf-8") as fh:
+        for obj in lines:
+            obj["id"] = reid[obj["id"]]
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    new_gold = gold.with_name("reided_gold.json")
+    new_gold.write_text(json.dumps(
+        {bk: {ak: [reid[rid] for rid in rids] for ak, rids in authors.items()}
+         for bk, authors in read_gold(gold).items()}, ensure_ascii=False), encoding="utf-8")
+    return new_records, new_gold, reid
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_outputs_follow_an_order_preserving_renaming_of_the_record_ids(
+        tmp_path, monkeypatch, capsys, forks, fork):
+    # only the order of the record ids may matter: renaming them through an
+    # order-preserving bijection leaves the reports as they were and maps
+    # the record and cluster ids of the cluster files
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 40, "--seed", 2, "--bridge-rate", 0.3) == 0
+    new_records, new_gold, reid = _reided(records, gold)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    capsys.readouterr()
+    commands = [["run", "--threshold", 1, "--threshold", 3, "--threshold", 5]]
+    commands += [["common-names", "--min-block-size", 0, "--threshold", t] for t in (1, 3)]
+    for k, argv in enumerate(commands):
+        seen = []
+        for path, g in ((records, gold), (new_records, new_gold)):
+            out = tmp_path / f"{path.stem}{k}"
+            assert run_cli(argv[0], "--records", path, "--gold", g,
+                           "--out-dir", out, *argv[1:]) == 0
+            seen.append((capsys.readouterr().out, _outputs(out)))
+        (said, before), (said_after, after) = seen
+        assert said == said_after and before.keys() == after.keys(), argv
+        for name, data in before.items():
+            if name.endswith(".tsv"):
+                rows = [row.split("\t") for row in data.decode("utf-8").splitlines()]
+                data = "".join("\t".join([bk, reid.get(rid, rid), reid.get(cid, cid), gk]) + "\n"
+                               for bk, rid, cid, gk in rows).encode("utf-8")
+            assert after[name] == data, (argv, name)
+    assert bool(forks) == fork and no_child_left()
+
+
 def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, monkeypatch,
                                                   capsys, forks):
     records, gold = large_corpus

@@ -250,8 +250,9 @@ def test_forked_load_equals_serial_load_on_drawn_files(lines, cut_last_newline):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_forked_load_peaks_no_higher_than_a_serial_load(tmp_path, monkeypatch):
-    # the child's rows join this process's rows in one stream, so the
-    # loading process holds no second copy of the child's half
+    # the child's half arrives as two flat lists, its ids and its name
+    # tuples, that join this process's rows in one stream, so the loading
+    # process holds no second copy of that half and no pair per row of it
     path = tmp_path / "records.jsonl"
     write_records(generate_corpus(SynthConfig(blocks=200, seed=2, bridge_rate=0.3)), path)
     assert graph._middle_line_end(path) is not None
@@ -268,7 +269,24 @@ def test_forked_load_peaks_no_higher_than_a_serial_load(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.delattr(os, "fork")
         serial = traced_peak()
-    assert traced_peak() <= 1.05 * serial
+    assert traced_peak() <= 0.95 * serial
+
+
+def test_assembly_peaks_little_above_the_graph_it_keeps(tmp_path):
+    # each author's list becomes its tuple in place, so the assembly never
+    # holds every list beside a copy of it
+    path = tmp_path / "records.jsonl"
+    write_records(generate_corpus(SynthConfig(blocks=200, seed=2, bridge_rate=0.3)), path)
+    rows = list(graph._rows(path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = graph._assemble(rows)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.pub_index) == len(rows)
+    assert peak <= 1.3 * retained
 
 
 def test_load_graph_equals_build_graph_on_edge_cases(tmp_path):
