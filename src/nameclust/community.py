@@ -197,8 +197,8 @@ def louvain(adj, resolution: float = 1.0):
     of what that degree holds beyond the supernode's edges, so no pass
     over the original edges is needed.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < float("inf"):  # NaN fails both comparisons
+        raise ValueError("resolution must be positive and finite")
     for w in set().union(*map(dict.values, adj)):
         if not (w > 0 and float(w).is_integer()):
             raise ValueError(f"edge weight {w!r}: weights must be positive integers")

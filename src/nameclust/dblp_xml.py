@@ -6,11 +6,12 @@ no element tree is built. Memory stays proportional to one read's
 publications. Input may be a path, ``-`` for stdin, or any binary file
 object, optionally gzip-compressed (detected by magic bytes).
 
-The first read is parsed in the calling process. If the input goes on
-past it and ``os.fork`` exists, a forked child then parses the rest and
-sends each read's record fields back through a pipe, while the caller
-builds the records of the reads before it; the child, not the caller,
-reads the rest of the input.
+The first read is parsed in the calling process. Then, where ``os.fork``
+exists, a forked child parses the rest and sends each read's record
+fields back through a pipe, while the caller builds the records of the
+reads before it; the child, not the caller, reads the rest of the input.
+A dump that fits in the first read forks too, and its child only closes
+the parser.
 
 The XML and gzip modules are imported only when a parse starts, so a
 program that imports this module and never parses does not load them.
@@ -128,41 +129,25 @@ def _record(key, kind, title, venue, year, authors) -> RawRecord:
     return RawRecord(key, kind, title, venue, year, tuple(map(parse_mention, authors)))
 
 
-class _CountingReader:
-    """Tracks bytes handed to the parser so errors can report an offset."""
-
-    def __init__(self, stream):
-        self._stream = stream
-        self.bytes_read = 0
-
-    def read(self, size=-1):
-        chunk = self._stream.read(size)
-        self.bytes_read += len(chunk)
-        return chunk
-
-
 def parse_dblp(source):
     """Yield one RawRecord per publication element, in document order.
 
     On an XML or gzip error, the records completed before it are yielded,
     then a located CorpusParseError is raised; an error reading the
     input is raised as it is. A path given as ``source`` is closed when
-    iteration ends, is abandoned or fails. After the first read, a
-    forked child reads the input (see the module docstring), so the
-    position a caller-supplied stream is left at is unspecified; the
+    iteration ends, is abandoned or fails. After the first read, however
+    short, a forked child reads the input (see the module docstring), so
+    the position a caller-supplied stream is left at is unspecified; the
     child is ended and reaped whenever iteration ends, is abandoned or
     fails.
     """
     with contextlib.ExitStack() as owned:
-        stream = _CountingReader(_open_stream(source, owned))
-        reads = _parse(stream)
+        reads = _parse(_open_stream(source, owned))
         # the first read's records come before the fork, so the first
         # record takes no longer than in one process
         for fields in next(reads):
             yield _record(*fields)
-        # a first read shorter than asked for met the end of the input,
-        # and closing the parser is all that is left
-        if hasattr(os, "fork") and stream.bytes_read == _READ_SIZE:
+        if hasattr(os, "fork"):
             reads = owned.enter_context(forked(reads))
         for batch in reads:
             for fields in batch:
@@ -180,10 +165,12 @@ def _parse(stream):
     done: list[tuple] = []
     parser = ET.XMLParser(target=_record_target(done))
     parser.entity.update(_entities())
+    offset = 0  # bytes handed to the parser, for an error's location
     while True:
         failure = None
         try:
             chunk = stream.read(_READ_SIZE)
+            offset += len(chunk)
             if chunk:
                 parser.feed(chunk)
             else:
@@ -194,7 +181,7 @@ def _parse(stream):
         done.clear()
         yield batch
         if failure is not None:
-            raise _located(failure, stream.bytes_read) from failure
+            raise _located(failure, offset) from failure
         if not chunk:
             return
 

@@ -25,17 +25,21 @@ def build_gold_standard(records, min_gold_authors: int = 1) -> dict:
     """Collect suffix-identified mentions into the evaluation universe:
     block key -> gold author key -> set of record ids.
 
-    A block is retained when it has at least ``min_gold_authors`` distinct
-    gold identities (default 1: any name with at least one disambiguated
-    author).
+    A record that names two or more gold authors of one name is left out
+    of that name's block, since no single gold author is its label there;
+    it keeps its entries under its other names. A block is then retained
+    when it has at least ``min_gold_authors`` distinct gold identities
+    (default 1: any name with at least one disambiguated author).
     """
     entries: dict[str, dict[str, set[str]]] = {}
     for rec in records:
+        named: dict[str, set[str]] = {}  # this record's gold keys by name
         for mention in rec.mentions:
-            if mention.gold_id is None:
-                continue
-            block = entries.setdefault(mention.surface_name, {})
-            block.setdefault(gold_key(mention), set()).add(rec.record_id)
+            if mention.gold_id is not None:
+                named.setdefault(mention.surface_name, set()).add(gold_key(mention))
+        for name, keys in named.items():
+            if len(keys) == 1:
+                entries.setdefault(name, {}).setdefault(keys.pop(), set()).add(rec.record_id)
     if min_gold_authors > 1:
         entries = {
             key: authors

@@ -56,6 +56,36 @@ def test_ingest_minimal(tmp_path, capsys):
     assert gold_obj["Wei Li"]["Wei Li 0001"] == ["a/1", "a/2"]
 
 
+# a/1 names two gold authors of "Wei Li", so it has no single gold label there
+TWO_IDENTITIES_XML = b"""<?xml version="1.0"?>
+<dblp>
+<article key="a/1"><author>Wei Li 0001</author><author>Wei Li 0002</author>
+<title>t1</title><year>2001</year></article>
+<article key="a/2"><author>Wei Li 0001</author><author>J Roe</author>
+<title>t2</title><year>2002</year></article>
+<article key="a/3"><author>Wei Li 0002</author><author>K Poe</author>
+<title>t3</title><year>2003</year></article>
+</dblp>
+"""
+
+
+def test_record_with_two_gold_authors_of_a_name_is_left_out_of_its_block(
+        tmp_path, capsys):
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(TWO_IDENTITIES_XML)
+    records, gold = tmp_path / "records.jsonl", tmp_path / "gold.json"
+    assert run_cli("ingest", "--input", xml, "--records-out", records,
+                   "--gold-out", gold) == 0
+    assert len(records.read_text().splitlines()) == 3
+    assert json.loads(gold.read_text()) == {
+        "Wei Li": {"Wei Li 0001": ["a/2"], "Wei Li 0002": ["a/3"]}}
+    inputs = ("--records", records, "--gold", gold)
+    assert run_cli("run", *inputs, "--out-dir", tmp_path / "run") == 0
+    assert run_cli("common-names", *inputs, "--out-dir", tmp_path / "cn",
+                   "--min-block-size", 0) == 0
+    assert "data error" not in capsys.readouterr().err
+
+
 def test_ingest_gzip_and_no_gold_warning(tmp_path, capsys):
     xml = tmp_path / "dump.xml.gz"
     xml.write_bytes(gzip.compress(
@@ -466,6 +496,16 @@ def test_report_of_an_empty_common_names_report(tmp_path, synth_corpus, capsys):
     path.write_text(json.dumps({"status": "empty", "qualifying_blocks": 2}))
     assert run_cli("report", path) == 2
     assert capsys.readouterr().err == f"nameclust: data error: {path}: before is missing\n"
+
+
+@pytest.mark.parametrize("obj", [{"status": "done", "blocks": [1, 2]}, [3, {"b": 1, "a": 2}]])
+def test_report_of_other_json_is_printed_as_it_is(tmp_path, capsys, obj):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("report", path) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("report, message", [

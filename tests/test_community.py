@@ -272,8 +272,10 @@ def test_beats_singletons_on_random_graphs():
 
 
 def test_resolution_validated():
-    with pytest.raises(ValueError):
-        community.louvain([{1: 1.0}, {0: 1.0}], resolution=0.0)
+    # as the CLI's check: positive and finite
+    for resolution in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            community.louvain([{1: 1.0}, {0: 1.0}], resolution=resolution)
 
 
 def test_never_exceeds_exhaustive_maximum():

@@ -277,16 +277,19 @@ def test_records_before_a_parse_error_are_yielded_first(tail):
     assert ids == [f"a/{i}" for i in range(600)]
 
 
-# -- the forked child, on documents longer than the first 16 KiB read --------
+# -- the forked child, which parses what follows the first 16 KiB read ------
 
 
 def _outcome(source):
-    """The records ``parse_dblp(source())`` yields and the error it ends with."""
+    """The records ``parse_dblp(source())`` yields and the error it ends
+    with, or None."""
     records = []
-    with pytest.raises(Exception) as exc:
+    try:
         for rec in parse_dblp(source()):
             records.append(rec)
-    return records, exc.value
+    except Exception as exc:
+        return records, exc
+    return records, None
 
 
 def _in_both_processes(source, monkeypatch, forks):
@@ -316,6 +319,29 @@ def test_long_document_parses_as_in_one_process(monkeypatch, forks):
             assert list(parse_dblp(io.BytesIO(source))) == forked
         assert forked == oracles.oracle_dblp_records(doc)
         forks.clear()
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_dump_shorter_than_one_read_parses_as_in_one_process(gzipped, monkeypatch, forks):
+    # the first read meets the end of the input; the child closes the parser
+    pack = gzip.compress if gzipped else bytes
+    dump = pack(MINIMAL)
+    assert len(dump) < 16 * 1024
+    (records, err), (alone, alone_err) = _in_both_processes(
+        lambda: io.BytesIO(dump), monkeypatch, forks)
+    assert err is None and alone_err is None
+    assert records == alone == oracles.oracle_dblp_records(MINIMAL)
+    forks.clear()
+    # a truncated copy: the error is raised in the child
+    cut = dump[:len(dump) * 2 // 3] if gzipped else MINIMAL[:MINIMAL.index(b"<proceedings")]
+    (records, err), (alone, alone_err) = _in_both_processes(
+        lambda: io.BytesIO(cut), monkeypatch, forks)
+    assert isinstance(err, CorpusParseError)
+    assert records == alone
+    assert _where(err) == _where(alone_err)
+    if not gzipped:
+        assert [r.record_id for r in records] == ["conf/x/1", "journals/y/2"]
+        assert err.byte_offset == len(cut)
 
 
 @pytest.mark.parametrize("tail", [

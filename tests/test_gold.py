@@ -61,6 +61,25 @@ def test_conflicting_gold_assignment_rejected():
         build_blocks(gold)
 
 
+def test_record_naming_two_gold_authors_of_a_name_is_left_out_of_its_block():
+    corpus = [rec("a/1", "Wei Li 0001", "Wei Li 0002"),
+              rec("a/2", "Wei Li 0001", "J Roe"),
+              rec("a/3", "Wei Li 0002", "K Poe")]
+    gold = build_gold_standard(corpus)
+    assert gold == {"Wei Li": {"Wei Li 0001": {"a/2"}, "Wei Li 0002": {"a/3"}}}
+    assert build_blocks(gold)[0].gold_label == {"a/2": "Wei Li 0001", "a/3": "Wei Li 0002"}
+    # the record keeps its entries under its other names, and a record
+    # that names one gold author twice stays
+    corpus += [rec("a/4", "Wei Li 0001", "Wei Li 0002", "J Roe 0001"),
+               rec("a/5", "Wei Li 0002", "Wei Li 0002")]
+    gold = build_gold_standard(corpus)
+    assert gold == {"Wei Li": {"Wei Li 0001": {"a/2"}, "Wei Li 0002": {"a/3", "a/5"}},
+                    "J Roe": {"J Roe 0001": {"a/4"}}}
+    # min_gold_authors counts the gold authors left after this step
+    assert set(build_gold_standard(corpus, min_gold_authors=2)) == {"Wei Li"}
+    assert build_gold_standard(corpus[:2], min_gold_authors=2) == {}
+
+
 def _many_blocks(n):
     records = []
     for i in range(n):
