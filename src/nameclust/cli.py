@@ -157,18 +157,22 @@ def _written_together(*paths):
             os.replace(tmp, path)
 
 
-def _distinct_outputs(args) -> None:
-    """Reject an output that is a directory, which no file can replace, and
-    one file named for both outputs: the gold would replace the records."""
+def _distinct_outputs(args, source="-") -> None:
+    """Reject an output that is a directory, which no file can replace, or
+    the input file ``source``, which it would replace (``-`` is stdin),
+    and one file named for both outputs: the gold would replace the
+    records."""
     for flag, path in (("--records-out", args.records_out), ("--gold-out", args.gold_out)):
         if os.path.isdir(path):
             raise UsageError(f"{flag} is a directory: {path}")
+        if source != "-" and os.path.realpath(path) == os.path.realpath(source):
+            raise UsageError(f"{flag} names the --input file: {path}")
     if os.path.realpath(args.records_out) == os.path.realpath(args.gold_out):
         raise UsageError(f"--records-out and --gold-out name the same file: {args.gold_out}")
 
 
 def cmd_ingest(args) -> int:
-    _distinct_outputs(args)
+    _distinct_outputs(args, args.input)
     (min_gold,) = _settings(args, "min_gold_authors")
     n_records = 0
     # both files take their names only once the whole dump has parsed, so

@@ -6,15 +6,14 @@ no element tree is built. Memory stays proportional to one read's
 publications. Input may be a path, ``-`` for stdin, or any binary file
 object, optionally gzip-compressed (detected by magic bytes).
 
-The first read is parsed in the calling process. Then, where ``os.fork``
-exists, a forked child parses the rest and sends each read's record
-fields back through a pipe, while the caller builds the records of the
-reads before it; the child, not the caller, reads the rest of the input.
-A dump that fits in the first read forks too, and its child only closes
-the parser.
+Where ``os.fork`` exists, a forked child reads and parses the whole
+input and sends each read's record fields back through a pipe, while
+the caller builds the records of the reads before it. The caller only
+opens the input and sniffs its first two bytes for gzip.
 
-The XML and gzip modules are imported only when a parse starts, so a
-program that imports this module and never parses does not load them.
+The XML modules are imported, and the entity table built, only when a
+parse starts, in the process that parses: with ``os.fork`` the caller
+never loads them, and it imports ``gzip`` only for gzipped input.
 """
 
 from __future__ import annotations
@@ -135,18 +134,13 @@ def parse_dblp(source):
     On an XML or gzip error, the records completed before it are yielded,
     then a located CorpusParseError is raised; an error reading the
     input is raised as it is. A path given as ``source`` is closed when
-    iteration ends, is abandoned or fails. After the first read, however
-    short, a forked child reads the input (see the module docstring), so
-    the position a caller-supplied stream is left at is unspecified; the
-    child is ended and reaped whenever iteration ends, is abandoned or
-    fails.
+    iteration ends, is abandoned or fails. A forked child reads and
+    parses the whole input (see the module docstring), so the position a
+    caller-supplied stream is left at is unspecified; the child is ended
+    and reaped whenever iteration ends, is abandoned or fails.
     """
     with contextlib.ExitStack() as owned:
         reads = _parse(_open_stream(source, owned))
-        # the first read's records come before the fork, so the first
-        # record takes no longer than in one process
-        for fields in next(reads):
-            yield _record(*fields)
         if hasattr(os, "fork"):
             reads = owned.enter_context(forked(reads))
         for batch in reads:

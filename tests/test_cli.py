@@ -22,8 +22,10 @@ import nameclust.graph
 from nameclust.bcubed import block_scores
 from nameclust.cli import _per_block, main, read_config
 from nameclust.errors import DataIntegrityError
-from nameclust.gold import Block, build_blocks, read_gold, sample_blocks
-from nameclust.records import write_records
+from nameclust.gold import (Block, build_blocks, build_gold_standard, read_gold,
+                            sample_blocks, write_gold)
+from nameclust.records import AuthorMention, RawRecord, write_records
+from nameclust.synth import SynthConfig, generate_corpus
 
 SRC = Path(nameclust.__file__).resolve().parents[1]
 
@@ -287,6 +289,24 @@ def test_one_file_for_both_outputs_exits_1_before_reading_input(tmp_path, capsys
     assert err == ("nameclust: error: --records-out and --gold-out name the same file: "
                    f"{tmp_path / 'link' / 'both.json'}\n")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--records-out", "--gold-out"])
+def test_output_that_names_the_input_exits_1_leaving_the_dump(tmp_path, capsys, flag):
+    # the output would replace the dump it is parsed from; the output's
+    # name reaches the dump through a symlinked directory
+    (tmp_path / "in").mkdir()
+    (tmp_path / "link").symlink_to("in")
+    xml = tmp_path / "in" / "dump.xml"
+    xml.write_bytes(MINIMAL_XML)
+    outputs = {"--records-out": tmp_path / "records.jsonl", "--gold-out": tmp_path / "gold.json"}
+    outputs[flag] = tmp_path / "link" / "dump.xml"
+    assert run_cli("ingest", "--input", xml, *[a for kv in outputs.items() for a in kv]) == 1
+    assert capsys.readouterr().err == (
+        f"nameclust: error: {flag} names the --input file: {outputs[flag]}\n")
+    assert xml.read_bytes() == MINIMAL_XML
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "link"]
+    assert list((tmp_path / "in").iterdir()) == [xml]
 
 
 @pytest.mark.parametrize("flag", ["--records-out", "--gold-out"])
@@ -572,6 +592,22 @@ def test_cli_import_loads_no_numpy_or_scipy():
     probe = ("import sys, nameclust; "
              "print(sorted(m for m in sys.modules if m.startswith('nameclust.')))")
     assert _python(["-c", probe]).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_ingest_command_loads_no_xml_parser(tmp_path, gzipped):
+    # the forked child parses from the first read, so only the child
+    # imports the XML stack and builds the entity table
+    doc = long_dblp_document()
+    xml = tmp_path / "dump.xml"
+    xml.write_bytes(gzip.compress(doc) if gzipped else doc)
+    probe = ("import sys; from nameclust.cli import main; main(sys.argv[1:]); "
+             "print(sorted(m for m in ('xml.etree.ElementTree', 'pyexpat', 'html.entities') "
+             "if m in sys.modules))")
+    done = _python(["-c", probe, "ingest", "--input", str(xml),
+                    "--records-out", str(tmp_path / "records.jsonl"),
+                    "--gold-out", str(tmp_path / "gold.json")])
+    assert done.stdout == "ingest: 3000 records, 1 gold blocks, 4 gold authors\n[]\n"
 
 
 def _tracked(records, peak):
@@ -1184,6 +1220,115 @@ def test_outputs_follow_an_order_preserving_renaming_of_the_record_ids(
                                for bk, rid, cid, gk in rows).encode("utf-8")
             assert after[name] == data, (argv, name)
     assert bool(forks) == fork and no_child_left()
+
+
+def _with_fresh_corpus(records, gold):
+    """``records`` and ``gold`` with a second synthetic corpus appended
+    whose author names and record ids are all fresh: its own with " b"
+    put after each name and "/b" after each id, so that the new blocks'
+    keys and ids sort among the old ones."""
+    extra = [RawRecord(r.record_id + "/b", r.kind, r.title, r.venue, r.year,
+                       tuple(AuthorMention(m.surface_name + " b", m.gold_id)
+                             for m in r.mentions))
+             for r in generate_corpus(SynthConfig(blocks=20, bridge_rate=0.3, seed=3))]
+    union = records.with_name("union.jsonl")
+    write_records(extra, union)
+    union.write_bytes(records.read_bytes() + union.read_bytes())
+    union_gold = gold.with_name("union_gold.json")
+    write_gold({**read_gold(gold), **build_gold_standard(extra)}, union_gold)
+    return union, union_gold
+
+
+def _own_blocks(out, blocks):
+    """Each output file of ``out`` cut down to what it says of ``blocks``:
+    the cluster files' rows and the reports' per-block entries."""
+    kept = {}
+    for f in sorted(out.iterdir()):
+        if f.suffix == ".tsv":
+            kept[f.name] = [row for row in f.read_text(encoding="utf-8").splitlines()[1:]
+                            if row.split("\t")[0] in blocks]
+        else:
+            report = json.loads(f.read_text(encoding="utf-8"))
+            per_blocks = ([t["per_block"] for t in report["thresholds"]]
+                          if "thresholds" in report else [report["per_block"]])
+            kept[f.name] = [[e for e in per_block if e["block_key"] in blocks]
+                            for per_block in per_blocks]
+    return kept
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_appending_a_disjoint_corpus_changes_no_block_of_the_first(
+        tmp_path, monkeypatch, capsys, forks, fork):
+    # a block's results depend only on its own part of the network: a
+    # second corpus sharing no name and no id with the first changes no
+    # cluster file row, and no per-block report entry, of the first's blocks
+    records = tmp_path / "records.jsonl"
+    gold = tmp_path / "gold.json"
+    assert run_cli("synth", "--records-out", records, "--gold-out", gold,
+                   "--blocks", 40, "--seed", 2, "--bridge-rate", 0.3) == 0
+    union, union_gold = _with_fresh_corpus(records, gold)
+    blocks = set(read_gold(gold))
+    assert len(read_gold(union_gold)) == len(blocks) + 20
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    commands = [["run", "--threshold", 1, "--threshold", 3]]
+    commands += [["common-names", "--min-block-size", 0, "--threshold", t] for t in (1, 3)]
+    for k, argv in enumerate(commands):
+        seen = []
+        for path, g in ((records, gold), (union, union_gold)):
+            out = tmp_path / f"{path.stem}{k}"
+            assert run_cli(argv[0], "--records", path, "--gold", g,
+                           "--out-dir", out, *argv[1:]) == 0
+            seen.append(_own_blocks(out, blocks))
+        assert seen[0] == seen[1], argv
+        assert all(seen[0].values()), argv
+    capsys.readouterr()
+    assert bool(forks) == fork and no_child_left()
+
+
+def _open_fds():
+    """This process's open file descriptors, or None where there is no
+    /proc to list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("command, failing", [("ingest", 1), ("run", 1), ("run", 2),
+                                               ("common-names", 1), ("common-names", 2)])
+def test_failed_fork_exits_2_with_no_output_and_no_open_pipe(tmp_path, large_corpus,
+                                                             monkeypatch, capsys, command,
+                                                             failing):
+    # the fork that fails is the command's first (ingest's parse, the
+    # records load) or its second (the block stage; ingest has only one)
+    fork = os.fork
+    calls = []
+
+    def fork_or_fail():
+        calls.append(None)
+        if len(calls) == failing:
+            raise OSError(errno.EAGAIN, "simulated fork failure")
+        return fork()
+
+    records, gold = large_corpus
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "ingest":
+        xml = tmp_path / "dump.xml"
+        xml.write_bytes(long_dblp_document())
+        argv = ["--input", xml, "--records-out", out / "records.jsonl",
+                "--gold-out", out / "gold.json"]
+    else:
+        argv = ["--records", records, "--gold", gold, "--out-dir", out / "o"]
+        if command == "common-names":
+            argv += ["--min-block-size", 0]
+    capsys.readouterr()
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    before = _open_fds()
+    assert run_cli(command, *argv) == 2
+    assert _open_fds() == before
+    assert len(calls) == failing and no_child_left()
+    assert capsys.readouterr().err == (
+        f"nameclust: data error: [Errno {errno.EAGAIN}] simulated fork failure\n")
+    assert list(out.iterdir()) == []
 
 
 def test_records_from_a_fifo_load_in_one_process(tmp_path, large_corpus, monkeypatch,

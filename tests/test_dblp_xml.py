@@ -277,7 +277,7 @@ def test_records_before_a_parse_error_are_yielded_first(tail):
     assert ids == [f"a/{i}" for i in range(600)]
 
 
-# -- the forked child, which parses what follows the first 16 KiB read ------
+# -- the forked child, which reads and parses the whole input ---------------
 
 
 def _outcome(source):
@@ -321,9 +321,22 @@ def test_long_document_parses_as_in_one_process(monkeypatch, forks):
         forks.clear()
 
 
+@pytest.mark.parametrize("size", ["short", "long"])
+def test_the_child_parses_from_the_first_read(size, forks):
+    # no record is built from a read of the caller's own: by the first
+    # record, the one child has been forked
+    doc = MINIMAL if size == "short" else long_dblp_document()
+    records = parse_dblp(io.BytesIO(doc))
+    first = next(records)
+    assert len(forks) == 1
+    assert first == oracles.oracle_dblp_records(doc)[0]
+    records.close()
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("gzipped", [False, True])
 def test_dump_shorter_than_one_read_parses_as_in_one_process(gzipped, monkeypatch, forks):
-    # the first read meets the end of the input; the child closes the parser
+    # the child's first read meets the end of the input
     pack = gzip.compress if gzipped else bytes
     dump = pack(MINIMAL)
     assert len(dump) < 16 * 1024
